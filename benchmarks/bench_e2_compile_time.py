@@ -45,27 +45,27 @@ def test_compile_time_ratio(gg, corpus_program):
 
 
 def test_parallel_jobs(gg, corpus_source):
-    """compile_program with jobs= over the 20-function corpus.  Threads
-    contend on the GIL for this CPU-bound work, so the interesting
-    output is the recorded trajectory (and identical assembly), not a
-    speedup assertion."""
-    from repro.compile import compile_program
+    """compile_program with jobs= over the 20-function corpus.  The
+    speedup depends on the runner's cores, so the interesting output is
+    the recorded trajectory (and identical assembly), not a speedup
+    assertion."""
+    from repro.compile import compile_program, shutdown_worker_pools
 
     serial = compile_program(corpus_source, generator=gg, jobs=1)
-    threaded = compile_program(corpus_source, generator=gg, jobs=4,
-                               parallel="thread")
-    assert threaded.text == serial.text
+    pooled = compile_program(corpus_source, generator=gg, jobs=4)
+    shutdown_worker_pools()
+    assert pooled.text == serial.text
 
     update_bench_json("parallel_compile", {
         "functions": len(serial.source_program.order),
         "serial_seconds": round(serial.seconds, 4),
-        "thread4_seconds": round(threaded.seconds, 4),
+        "process4_seconds": round(pooled.seconds, 4),
     })
     write_report("E2_jobs", "\n".join([
         "compile_program jobs= over the corpus:",
         f"  functions:        {len(serial.source_program.order)}",
         f"  jobs=1:           {serial.seconds:8.3f} s",
-        f"  jobs=4 (thread):  {threaded.seconds:8.3f} s",
+        f"  jobs=4 (process): {pooled.seconds:8.3f} s",
         "  (assembly byte-identical across modes)",
     ]))
 

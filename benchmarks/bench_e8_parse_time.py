@@ -87,8 +87,8 @@ def test_packed_vs_dict_throughput(gg, corpus_program):
         streams.extend(linearize(tree) for tree in forest.trees())
     total_tokens = sum(len(s) for s in streams)
 
-    packed = Matcher(gg.tables, SemanticActions(), use_packed=True)
-    plain = Matcher(gg.tables, SemanticActions(), use_packed=False)
+    packed = Matcher(gg.tables, SemanticActions(), engine="packed")
+    plain = Matcher(gg.tables, SemanticActions(), engine="dict")
 
     packed_tps = _tokens_per_second(packed, streams, total_tokens)
     dict_tps = _tokens_per_second(plain, streams, total_tokens)

@@ -7,17 +7,15 @@ this driver instead records the *reproduction's own* performance so a
 future change has concrete numbers to compare against:
 
 * ``BENCH_compile.json`` — static-phase cost cold vs warm (table cache),
-  end-to-end compile wall/CPU seconds for jobs=1 vs jobs=N on both pool
-  kinds over a ``--scale``-multiplied workload, cold-vs-warm incremental
+  end-to-end compile wall/CPU seconds for jobs=1 vs a jobs=N process
+  pool over a ``--scale``-multiplied workload, cold-vs-warm incremental
   compilation through the persistent result cache (plus the
   one-function-edit case), batch-request throughput against a warm
   ``ggcc serve`` instance, and the per-phase split from the ``profile``
   machinery (exclusive attribution: phases sum to <= wall by
   construction).
-* ``BENCH_parse.json`` — compiled vs packed vs dict matcher throughput
-  in tokens/sec over pre-linearized corpus streams, plus the compaction
-  size stats (merged rows/columns, total words) behind the compiled
-  engine.
+* ``BENCH_parse.json`` — packed vs dict matcher throughput in
+  tokens/sec over pre-linearized corpus streams.
 * ``BENCH_server.json`` — the async compile service under concurrent
   load: a cold row (distinct units per request) and a warm row (pure
   result-cache traffic), p50/p99 latency, throughput, and the speedups
@@ -103,7 +101,7 @@ def bench_static(repeats: int) -> dict:
 
 
 def bench_compile(source: str, jobs: int, repeats: int) -> dict:
-    """End-to-end dynamic-phase cost: serial vs thread vs process pool.
+    """End-to-end dynamic-phase cost: serial vs the process pool.
 
     Each config gets one unmeasured warm-up (pool startup, lowering
     memoization, allocator steady state), then the measured repeats run
@@ -114,7 +112,6 @@ def bench_compile(source: str, jobs: int, repeats: int) -> dict:
     gen = GrahamGlanvilleCodeGenerator()  # static phase paid once, outside
     configs = [
         ("jobs1", {"jobs": 1}),
-        (f"jobs{jobs}_thread", {"jobs": jobs, "parallel": "thread"}),
         (f"jobs{jobs}_process", {"jobs": jobs, "parallel": "process"}),
     ]
     serial_text = None
@@ -346,10 +343,8 @@ def bench_phases(source: str) -> dict:
 
 
 def bench_parse(source: str, repeats: int) -> dict:
-    """Compiled vs packed vs dict matcher throughput on pre-linearized
-    streams, plus the compaction size stats behind the compiled engine."""
+    """Packed vs dict matcher throughput on pre-linearized streams."""
     from repro.frontend import compile_c
-    from repro.tables.encode import measure_tables
 
     gen = GrahamGlanvilleCodeGenerator()
     program = compile_c(source)
@@ -360,35 +355,22 @@ def bench_parse(source: str, repeats: int) -> dict:
     tokens = sum(len(s) for s in streams)
 
     def run(matcher):
-        matcher.match_tokens(streams[0])  # bind/expand outside the clock
+        matcher.match_tokens(streams[0])  # expand outside the clock
         def thunk():
             for stream in streams:
                 matcher.match_tokens(stream)
         best, _ = best_of(repeats, thunk)
         return tokens / best
 
-    compiled = run(Matcher(gen.tables, SemanticActions(), engine="compiled"))
     packed = run(Matcher(gen.tables, SemanticActions(), engine="packed"))
     plain = run(Matcher(gen.tables, SemanticActions(), engine="dict"))
-    print(f"  parse compiled {compiled:12,.0f} tok/s  "
-          f"packed {packed:12,.0f} tok/s  dict {plain:12,.0f} tok/s")
-    size = measure_tables(gen.tables)
+    print(f"  parse packed {packed:12,.0f} tok/s  dict {plain:12,.0f} tok/s")
     return {
         "tokens": tokens,
         "streams": len(streams),
-        "compiled_tokens_per_sec": round(compiled),
         "packed_tokens_per_sec": round(packed),
         "dict_tokens_per_sec": round(plain),
         "speedup": round(packed / plain, 2),
-        "compiled_speedup_vs_packed": round(compiled / packed, 2),
-        "compaction": {
-            "packed_entries": size.packed_entries,
-            "packed_bytes": size.packed_bytes,
-            "compact_rows": size.compact_rows,
-            "compact_goto_columns": size.compact_goto_columns,
-            "compact_entries": size.compact_entries,
-            "compact_bytes": size.compact_bytes,
-        },
     }
 
 
@@ -477,7 +459,7 @@ def main(argv=None) -> int:
         "targets": targets,
     })
 
-    print("matcher throughput (compiled vs packed vs dict)...")
+    print("matcher throughput (packed vs dict)...")
     parse = bench_parse(source, repeats)
     write_json(os.path.join(options.out_dir, "BENCH_parse.json"), {
         "meta": meta,

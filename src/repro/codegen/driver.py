@@ -28,7 +28,8 @@ from ..ir.ops import Op
 from ..ir.tree import Forest, LabelDef, Node
 from ..matcher.descriptors import Descriptor
 from ..matcher.engine import (
-    Matcher, MatchResult, SemanticActions, resolve_engine,
+    RULE_METRIC_PREFIX, Matcher, SemanticActions, resolve_engine,
+    rule_observation_enabled,
 )
 from ..matcher.trace import Tracer
 from ..obs.metrics import REGISTRY as METRICS
@@ -150,10 +151,9 @@ class GrahamGlanvilleCodeGenerator:
     options, warm-starting in milliseconds when the description is
     unchanged.  ``cache=False`` forces a fresh build; ``cache_dir``
     redirects the store (tests use a tmp dir).  ``engine`` selects the
-    matcher's drive loop (``"compiled"``, ``"packed"`` — the default —
-    or the original ``"dict"`` loop for differential runs); the legacy
-    ``use_packed`` boolean and ``$REPRO_MATCHER`` are honoured through
-    :func:`repro.matcher.engine.resolve_engine`.
+    matcher's drive loop (``"packed"``, the default, or the original
+    ``"dict"`` loop for differential runs); ``$REPRO_MATCHER`` is
+    honoured through :func:`repro.matcher.engine.resolve_engine`.
 
     ``target`` names the machine description to drive the tables with: a
     registered target name (``"vax"``, ``"r32"``), a
@@ -171,7 +171,6 @@ class GrahamGlanvilleCodeGenerator:
         peephole: bool = False,
         bundle: Optional[GrammarBundle] = None,
         tables: Optional[ParseTables] = None,
-        use_packed: Optional[bool] = None,
         cache: Optional[bool] = None,
         cache_dir: Optional[str] = None,
         rescue_bridges: bool = True,
@@ -181,8 +180,7 @@ class GrahamGlanvilleCodeGenerator:
         self.machine = self.target.machine
         self.reversed_ops = reversed_ops
         self.peephole = peephole
-        self.engine = resolve_engine(engine, use_packed)
-        self.use_packed = self.engine != "dict"
+        self.engine = resolve_engine(engine)
         self.rescue_bridges = rescue_bridges
         self.cache_outcome: Optional[CacheOutcome] = None
 
@@ -228,21 +226,11 @@ class GrahamGlanvilleCodeGenerator:
                 )
                 self.cache_outcome = outcome
                 self.table_source = "cache" if outcome.hit else "built"
-            if self.use_packed:
+            if self.engine == "packed":
                 # Expand the dense runtime rows now so the first compile's
                 # matching time measures matching, not table expansion.
                 with span("packed.expand", cat="static"):
                     self.tables.packed().runtime()
-            if self.engine == "compiled":
-                # Generate (or cache-load) the compiled matcher up front
-                # for the same reason; a failure memoizes the packed
-                # fallback here rather than on the first match.
-                from ..tables.compiled import compiled_matcher_for
-
-                with span("matchgen.prepare", cat="static"):
-                    compiled_matcher_for(
-                        self.tables, cache=cache, cache_dir=cache_dir
-                    )
         self.static_seconds = time.perf_counter() - static_started
         METRICS.observe("static.seconds", self.static_seconds)
         METRICS.inc(f"static.tables.{self.table_source}")
@@ -265,7 +253,6 @@ class GrahamGlanvilleCodeGenerator:
         self,
         forest: Forest,
         trace: Optional[Tracer] = None,
-        use_packed: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> CompileResult:
         """Compile one routine to the target's assembly."""
@@ -275,7 +262,7 @@ class GrahamGlanvilleCodeGenerator:
             transform_seconds = time.perf_counter() - started
             result = self.generate(
                 work, ordering_stats, name=forest.name,
-                trace=trace, use_packed=use_packed, engine=engine,
+                trace=trace, engine=engine,
             )
         result.times.transform += transform_seconds
         result.times.wall += transform_seconds
@@ -287,7 +274,6 @@ class GrahamGlanvilleCodeGenerator:
         ordering_stats: OrderingStats,
         name: str,
         trace: Optional[Tracer] = None,
-        use_packed: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> CompileResult:
         """Phases 2-4 on an already-transformed forest.
@@ -295,15 +281,18 @@ class GrahamGlanvilleCodeGenerator:
         Split out of :meth:`compile` so the recovery ladder can mutate the
         transformed forest (operand hoisting) and regenerate with fresh
         buffers, and so a blocked function can be retried on a slower
-        engine (``engine="packed"`` or ``"dict"``) without rebuilding the
-        generator.
+        engine (``engine="dict"``) without rebuilding the generator.
+
+        With ``$REPRO_OBS_RULES`` set, every statement's reductions are
+        counted per production as ``matcher.rule.<index>`` metrics,
+        whichever engine matched them.
         """
         times = PhaseTimes()
         if engine is None:
-            engine = (
-                self.engine if use_packed is None
-                else ("packed" if use_packed else "dict")
-            )
+            engine = self.engine
+        rule_counts: Optional[Dict[int, int]] = (
+            {} if rule_observation_enabled() else None
+        )
         wall_started = time.perf_counter()
 
         # Compiler temporaries (call results, hoisted subtrees, spill
@@ -345,6 +334,10 @@ class GrahamGlanvilleCodeGenerator:
                 shifts += item.size()
                 reductions += len(result.reductions)
                 chains += result.chain_reductions
+                if rule_counts is not None:
+                    for production in result.reductions:
+                        index = production.index
+                        rule_counts[index] = rule_counts.get(index, 0) + 1
             match_span.note(
                 statements=statements, shifts=shifts, reductions=reductions,
                 matching_seconds=round(times.matching, 6),
@@ -371,6 +364,8 @@ class GrahamGlanvilleCodeGenerator:
             METRICS.observe("compile.fn_seconds", times.wall)
             METRICS.observe("compile.matching_seconds", times.matching)
             METRICS.observe("compile.semantics_seconds", times.semantics)
+            for index, count in (rule_counts or {}).items():
+                METRICS.inc(f"{RULE_METRIC_PREFIX}{index}", count)
 
         return CompileResult(
             unit=unit, times=times, ordering=ordering_stats,

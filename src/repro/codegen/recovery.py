@@ -11,20 +11,15 @@ rest of the program.
 
 The rungs, in order:
 
-tier 0  ``compiled``
-    Only when the generator selected the compiled engine: the normal
-    compile on the generated specialized matcher (which itself falls
-    back to packed when generation failed).  A failure here retries on
-    the packed interpreter below (RECOVER-PACKED).
-tier 0/1  ``packed``
-    The normal compile on the packed integer matcher.  When the packed
-    runtime fails its integrity checksum this rung — and the compiled
-    rung, which is generated from the same tables — is skipped outright
-    (GG-TABLE-CORRUPT) rather than trusted to crash.
+tier 0  ``packed`` or ``dict``
+    The normal compile on the engine the generator selected.  When the
+    packed runtime fails its integrity checksum the packed rung is
+    skipped outright (GG-TABLE-CORRUPT) rather than trusted to crash.
 tier 1  ``dict``
     Retry on the original dict-table matcher (``engine="dict"``).
     The dict loop shares no state with the packed arrays, so corrupt or
-    miscoded packed tables are fully rescued here (RECOVER-DICT).
+    miscoded packed tables are fully rescued here (RECOVER-DICT).  A
+    generator that already runs the dict engine has no separate tier 1.
 tier 2  ``hoist``
     The "deus ex machina" repair: the runtime analogue of a bridge
     production.  The subtree under the blocked lookahead token is hoisted
@@ -97,8 +92,7 @@ class LadderOutcome:
 
     name: str
     result: object  # CompileResult | PccResult | FailedFunction
-    tier: str       # "compiled" | "packed" | "dict" | "hoist" | "pcc"
-                    # | "failed"
+    tier: str       # "packed" | "dict" | "hoist" | "pcc" | "failed"
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     @property
@@ -108,13 +102,12 @@ class LadderOutcome:
     @property
     def recovered(self) -> bool:
         """True when a rescue rung (not the engine the generator asked
-        for) produced the result.  A compiled-engine generator settling
-        on ``packed`` *is* a recovery — the compiled rung failed."""
+        for) produced the result.  A packed-engine generator settling on
+        ``dict`` *is* a recovery — it carries RECOVER-DICT."""
         if not self.ok:
             return False
-        return self.tier not in ("compiled", "packed") or any(
-            diag.code in (codes.RECOVER_PACKED, codes.RECOVER_DICT)
-            for diag in self.diagnostics
+        return self.tier not in ("packed", "dict") or any(
+            diag.code == codes.RECOVER_DICT for diag in self.diagnostics
         )
 
 
@@ -236,14 +229,11 @@ def compile_with_recovery(
     """
     name = forest.name
     diags: List[Diagnostic] = []
-    engine0 = getattr(
-        gen, "engine", "packed" if gen.use_packed else "dict"
-    )
+    engine0 = gen.engine
 
     # tier 0: the normal fast compile — unless the packed runtime fails
-    # its checksum, in which case neither integer engine (the compiled
-    # matcher is generated from the same tables) can be trusted to even
-    # crash.
+    # its checksum, in which case the packed engine cannot be trusted to
+    # even crash.
     packed_trusted = True
     if engine0 != "dict" and check_integrity:
         runtime = gen.tables.packed().runtime()
@@ -252,55 +242,20 @@ def compile_with_recovery(
             diags.append(Diagnostic(
                 code=codes.GG_TABLE_CORRUPT,
                 message="packed runtime tables failed their integrity "
-                        "checksum; compiled/packed tiers skipped",
+                        "checksum; packed tier skipped",
                 function=name,
             ))
 
     first_error: Optional[Exception] = None
-    compiled_failed = False
-    if engine0 == "compiled" and packed_trusted:
-        try:
-            result = gen.compile(forest, engine="compiled")
-            return _finish(LadderOutcome(name, result, "compiled", diags))
-        except (MatchError, TargetSemanticError) as exc:
-            first_error = exc
-            compiled_failed = True
-            diags.append(_block_diagnostic(exc, name))
-        except Exception as exc:  # a codegen/runtime bug in the program
-            first_error = exc
-            compiled_failed = True
-            diags.append(Diagnostic(
-                code=codes.GG_TABLE_CORRUPT,
-                message=f"compiled matcher crashed: {exc!r}",
-                function=name,
-            ))
-
     if engine0 != "dict" and packed_trusted:
         try:
             result = gen.compile(forest, engine="packed")
-            if compiled_failed:
-                # the interpreter survived what the generated program did
-                # not: a genuine rescue, worth its own diagnostic code
-                diags.append(Diagnostic(
-                    code=codes.RECOVER_PACKED,
-                    message="function recompiled on the packed "
-                            "interpreter matcher",
-                    function=name,
-                ))
-                return _finish(LadderOutcome(
-                    name, result, "packed", _demote_errors(diags)
-                ))
             return _finish(LadderOutcome(name, result, "packed", diags))
         except (MatchError, TargetSemanticError) as exc:
-            # the twin engines block identically; don't record the same
-            # MatchError twice
-            if not isinstance(first_error, MatchError):
-                diags.append(_block_diagnostic(exc, name))
-            if first_error is None:
-                first_error = exc
+            first_error = exc
+            diags.append(_block_diagnostic(exc, name))
         except Exception as exc:  # corrupt tables crash in odd ways
-            if first_error is None:
-                first_error = exc
+            first_error = exc
             diags.append(Diagnostic(
                 code=codes.GG_TABLE_CORRUPT,
                 message=f"packed matcher crashed: {exc!r}",
@@ -312,16 +267,18 @@ def compile_with_recovery(
     dict_error: Optional[Exception] = None
     try:
         result = gen.compile(forest, engine="dict")
-        if engine0 != "dict" or not packed_trusted or first_error is not None:
+        if engine0 != "dict":
             diags.append(Diagnostic(
                 code=codes.RECOVER_DICT,
                 message="function recompiled on the dict-table matcher",
                 function=name,
             ))
             return _finish(LadderOutcome(name, result, "dict", _demote_errors(diags)))
-        return _finish(LadderOutcome(name, result, "packed", diags))
+        return _finish(LadderOutcome(name, result, "dict", diags))
     except (MatchError, TargetSemanticError) as exc:
         dict_error = exc
+        # the twin engines block identically; don't record the same
+        # MatchError twice
         if not isinstance(first_error, MatchError):
             diags.append(_block_diagnostic(exc, name))
     except Exception as exc:

@@ -6,10 +6,8 @@ code generator -> one assembly unit with global-data declarations ->
 benchmarks and differential tests use.
 
 ``compile_program`` accepts ``jobs=`` to compile independent functions
-concurrently: the parse tables are shared read-only across workers (each
-``Matcher`` gets its own semantics and code buffer per call), so threads
-need no coordination.  ``parallel="process"`` fans function *batches*
-over a :class:`SharedTablePool` — a process pool whose workers make the
+concurrently: it fans function *batches* over a
+:class:`SharedTablePool` — a process pool whose workers make the
 constructed tables resident exactly once, in the pool initializer (free
 under fork, one content-addressed table-cache load otherwise), so a task
 payload is only the source text plus function names, never tables or
@@ -41,8 +39,7 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import (
-    ProcessPoolExecutor, ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
+    ProcessPoolExecutor, TimeoutError as FutureTimeoutError,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -98,7 +95,7 @@ class ProgramAssembly:
     cpu_seconds: float = 0.0
     #: Structured events from the resilient pipeline (empty otherwise).
     diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
-    #: function name -> recovery-ladder tier ("compiled"/"packed" when no
+    #: function name -> recovery-ladder tier ("packed"/"dict" when no
     #: rescue ran — whichever engine the generator selected; "cache" for
     #: functions answered by the incremental result cache)
     tiers: Dict[str, str] = field(default_factory=dict)
@@ -231,7 +228,7 @@ def compile_program(
     backend: str = "gg",
     generator: Optional[GrahamGlanvilleCodeGenerator] = None,
     jobs: int = 1,
-    parallel: str = "thread",
+    parallel: str = "process",
     resilient: bool = False,
     timeout: Optional[float] = None,
     pool: Optional["SharedTablePool"] = None,
@@ -250,14 +247,14 @@ def compile_program(
     target.  The ``"pcc"`` backend emits VAX assembly only and refuses
     targets without PCC support.
 
-    ``engine`` picks the matcher drive loop (``"compiled"``, ``"packed"``
-    or ``"dict"``) when no ``generator`` is handed in; the default
-    honours ``$REPRO_MATCHER`` and falls back to packed.
+    ``engine`` picks the matcher drive loop (``"packed"`` or ``"dict"``)
+    when no ``generator`` is handed in; the default honours
+    ``$REPRO_MATCHER`` and falls back to packed.
 
     ``incremental=True`` probes the content-addressed result cache per
     function before compiling anything ("gg" only): hits are reassembled
     from cached assembly text, misses flow to whichever compile path
-    ``jobs``/``parallel``/``resilient`` select, and fresh *healthy*
+    ``jobs``/``resilient`` select, and fresh *healthy*
     results are stored for next time.  ``result_cache`` hands in a
     :class:`~repro.result_cache.ResultCache` (it must match the
     generator's tables and engine); ``result_cache_dir`` persists
@@ -266,12 +263,12 @@ def compile_program(
     decides (default off).  Hit/miss counts land in ``out.cache_hits``
     / ``out.cache_misses`` and hit functions get tier ``"cache"``.
 
-    ``jobs`` > 1 compiles independent functions concurrently ("gg" only);
-    ``parallel`` picks the pool: ``"thread"`` shares one generator's
-    read-only tables, ``"process"`` dispatches function batches over a
-    :class:`SharedTablePool` whose workers hold the tables resident from
-    their initializer on.  Results land in source order either way, so
-    the emitted assembly is byte-identical to ``jobs=1``.
+    ``jobs`` > 1 compiles independent functions concurrently ("gg" only)
+    by dispatching function batches over a :class:`SharedTablePool`
+    whose workers hold the tables resident from their initializer on.
+    Results land in source order, so the emitted assembly is
+    byte-identical to ``jobs=1``.  ``parallel`` names the pool kind and
+    accepts only ``"process"``, the one kind there is.
 
     ``pool`` hands in an already-warm :class:`SharedTablePool` (the
     compile server does this); the caller keeps ownership and the pool
@@ -280,13 +277,17 @@ def compile_program(
 
     ``resilient=True`` routes every function through the recovery ladder
     (:mod:`repro.codegen.recovery`) and contains worker failures: a
-    function that blocks, crashes its worker, or (``parallel="process"``
-    only) exceeds the per-function ``timeout`` in seconds becomes a
+    function that blocks, crashes its worker, or (``jobs`` > 1 only)
+    exceeds the per-function ``timeout`` in seconds becomes a
     diagnostic in ``out.diagnostics`` plus a degraded or failed entry in
     ``function_results`` — the rest of the program still compiles.
     """
     if backend not in ("gg", "pcc"):
         raise ValueError(f"unknown backend {backend!r}")
+    if parallel != "process":
+        raise ValueError(
+            f"unknown parallel mode {parallel!r}; only 'process' exists"
+        )
     if backend == "gg" and generator is not None:
         if (
             target is not None
@@ -321,7 +322,7 @@ def compile_program(
     started = time.perf_counter()
     out = ProgramAssembly(source_program=program, backend=backend, target=tgt)
     with span("compile_program", cat="program", backend=backend,
-              jobs=jobs, parallel=parallel):
+              jobs=jobs):
         if backend == "gg":
             cache: Optional[ResultCache] = None
             keys: Dict[str, str] = {}
@@ -341,13 +342,12 @@ def compile_program(
                 METRICS.inc("compile.incremental.misses", out.cache_misses)
             if resilient:
                 _compile_functions_resilient(
-                    gen, source, program, jobs, parallel, timeout, out,
-                    pool, names=pending,
+                    gen, source, program, jobs, timeout, out, pool,
+                    names=pending,
                 )
             elif jobs > 1 and len(pending) > 1:
                 _compile_functions_parallel(
-                    gen, source, program, jobs, parallel, out, pool,
-                    names=pending,
+                    gen, source, program, jobs, out, pool, names=pending,
                 )
             else:
                 for name in pending:
@@ -536,12 +536,12 @@ def _store_fresh_results(
     """Store the functions just compiled — except anything the pipeline
     had to touch with a diagnostic.
 
-    Tier strings cannot distinguish a healthy compile from a
-    compiled→packed rescue (both say "packed"), but every ladder rescue
-    and every worker-containment recovery leaves a diagnostic attached
-    to its function name, so "has a diagnostic" is the conservative
-    store gate: a rescued function costs a later cache miss instead of
-    ever poisoning the cache with degraded assembly.
+    Tier strings cannot flag every rescue (a worker-containment
+    recovery re-runs the ladder and may still say "packed"), but every
+    ladder rescue and every worker-containment recovery leaves a
+    diagnostic attached to its function name, so "has a diagnostic" is
+    the conservative store gate: a rescued function costs a later cache
+    miss instead of ever poisoning the cache with degraded assembly.
     """
     flagged = {
         diag.function for diag in out.diagnostics.records() if diag.function
@@ -896,32 +896,17 @@ def plan_batches(
     return batches
 
 
-#: Batch result payload shape: ``text`` (default) ships flat
-#: :class:`FunctionText` records — assembly preformatted in the worker,
-#: stats only — while ``object`` ships pickled :class:`CompileResult`
-#: objects, the pre-lean shape the differential test compares against.
-ENV_BATCH_PAYLOAD = "REPRO_BATCH_PAYLOAD"
-
-
-def _payload_mode() -> str:
-    mode = os.environ.get(ENV_BATCH_PAYLOAD, "text").strip().lower()
-    return "object" if mode == "object" else "text"
-
-
 def _compile_batch_in_worker(task: tuple) -> tuple:
     """Process-pool body: compile one batch of functions against the
-    worker-resident generator.  Returns ``(results, obs payload)`` —
-    the metrics delta and spans drain once per *batch*, not per
-    function.  The payload mode rides in the task (not worker env) so
-    one pool can serve both shapes."""
-    source, names, mode = task
+    worker-resident generator.  Returns ``(results, obs payload)``:
+    flat :class:`FunctionText` records, and the metrics delta and spans
+    drained once per *batch*, not per function."""
+    source, names = task
     program, generator = _worker_program(source)
-    results: List[object] = []
-    for name in names:
-        result = generator.compile(program.forest(name))
-        if mode != "object":
-            result = _function_text(name, result)
-        results.append(result)
+    results = [
+        _function_text(name, generator.compile(program.forest(name)))
+        for name in names
+    ]
     return results, worker_obs_drain(_WORKER_FLAGS)
 
 
@@ -930,19 +915,15 @@ def _compile_functions_parallel(
     source: str,
     program: CompiledProgram,
     jobs: int,
-    parallel: str,
     out: ProgramAssembly,
     pool: Optional[SharedTablePool] = None,
     names: Optional[List[str]] = None,
 ) -> None:
-    """Fan *names* (default: the whole program) over a worker pool.
+    """Fan *names* (default: the whole program) over a process pool.
 
-    Thread workers call ``gen.compile`` directly — every compilation
-    builds its own semantics/buffer/matcher, and the shared tables are
-    read-only, so no locking is needed.  Process workers receive
-    weight-balanced *batches* of function names; their generator was
-    made resident by the pool initializer, so nothing static rides on
-    the tasks.
+    Workers receive weight-balanced *batches* of function names; their
+    generator was made resident by the pool initializer, so nothing
+    static rides on the tasks.
 
     A pool whose initializer fails (cache miss plus builder raise
     inside the worker) breaks every pending future.  That surfaces here
@@ -951,18 +932,6 @@ def _compile_functions_parallel(
     """
     if names is None:
         names = list(program.order)
-    if parallel == "thread":
-        # Thread workers share this process's metrics registry and span
-        # recorder directly — nothing to merge.
-        with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
-            results = list(thread_pool.map(
-                lambda name: gen.compile(program.forest(name)), names
-            ))
-        out.function_results.update(zip(names, results))
-        return
-    if parallel != "process":
-        raise ValueError(f"unknown parallel mode {parallel!r}")
-
     if pool is not None:
         if pool.options_key != _options_key(_generator_options(gen)):
             raise ValueError(
@@ -972,11 +941,10 @@ def _compile_functions_parallel(
     else:
         pool, owned = _acquire_pool(gen, jobs, source, program)
     batches = plan_batches(program, names, pool.jobs)
-    mode = _payload_mode()
     payloads: List[object] = []
     try:
         futures = [
-            pool.submit(_compile_batch_in_worker, (source, batch, mode))
+            pool.submit(_compile_batch_in_worker, (source, batch))
             for batch in batches
         ]
         METRICS.inc("pool.batches", len(batches))
@@ -1045,18 +1013,18 @@ def _compile_function_resilient_worker(task: tuple):
     One function per task — unlike the fast path's batches, containment
     wants per-function granularity: a timeout, kill or crash then costs
     exactly one function's recovery in the parent.  State comes from the
-    pool initializer, so the payload is only ``(source, name, mode)``.
+    pool initializer, so the payload is only ``(source, name)``.
     Returns ``(tier, result, diagnostics, obs payload)`` — all plain
-    picklable values; in ``text`` mode a healthy ladder result is
-    flattened to :class:`FunctionText` like the fast path's batches
-    (rescue results — PCC degrades, stubs — are already compact).
+    picklable values; a healthy ladder result is flattened to
+    :class:`FunctionText` like the fast path's batches (rescue results —
+    PCC degrades, stubs — are already compact).
     """
-    source, name, mode = task
+    source, name = task
     _chaos_hooks(name)
     program, generator = _worker_program(source)
     outcome = compile_with_recovery(generator, program.forest(name))
     result = outcome.result
-    if mode != "object" and isinstance(result, CompileResult):
+    if isinstance(result, CompileResult):
         result = _function_text(name, result)
     return (
         outcome.tier, result, outcome.diagnostics,
@@ -1064,13 +1032,14 @@ def _compile_function_resilient_worker(task: tuple):
     )
 
 
-def _recover_in_parent(
+def _ladder_in_parent(
     gen: GrahamGlanvilleCodeGenerator,
     program: CompiledProgram,
     name: str,
     out: ProgramAssembly,
 ) -> None:
-    """Ladder-compile *name* in the parent process (worker lost)."""
+    """Ladder-compile *name* in this process: the serial path, or the
+    pool path's recovery for a function whose worker was lost."""
     outcome = compile_with_recovery(gen, program.forest(name))
     out.function_results[name] = outcome.result
     out.tiers[name] = outcome.tier
@@ -1082,7 +1051,6 @@ def _compile_functions_resilient(
     source: str,
     program: CompiledProgram,
     jobs: int,
-    parallel: str,
     timeout: Optional[float],
     out: ProgramAssembly,
     pool: Optional[SharedTablePool] = None,
@@ -1090,9 +1058,9 @@ def _compile_functions_resilient(
 ) -> None:
     """The contained fan-out: one bad function never kills the program.
 
-    Serial and thread modes run the recovery ladder in-process (threads
-    cannot be killed, so ``timeout`` only applies to process mode).
-    Process mode additionally survives hung workers (per-function
+    Serial mode (``jobs`` <= 1 or a single function) runs the recovery
+    ladder in-process, where ``timeout`` does not apply.  The process
+    pool additionally survives hung workers (per-function
     ``timeout`` -> WORKER-TIMEOUT, function recovered in the parent),
     dead workers (BrokenProcessPool -> WORKER-CRASH, every unfinished
     function recovered serially in the parent) and initializer failures
@@ -1123,46 +1091,27 @@ def _compile_functions_resilient(
     if names is None:
         names = list(program.order)
 
-    if jobs <= 1 or len(names) <= 1 or parallel == "thread":
-        if jobs > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
-                outcomes = list(thread_pool.map(
-                    lambda name: compile_with_recovery(
-                        gen, program.forest(name)
-                    ),
-                    names,
-                ))
-        else:
-            outcomes = [
-                compile_with_recovery(gen, program.forest(name))
-                for name in names
-            ]
-        for name, outcome in zip(names, outcomes):
-            out.function_results[name] = outcome.result
-            out.tiers[name] = outcome.tier
-            out.diagnostics.extend(outcome.diagnostics)
+    if jobs <= 1 or len(names) <= 1:
+        for name in names:
+            _ladder_in_parent(gen, program, name, out)
         return
-
-    if parallel != "process":
-        raise ValueError(f"unknown parallel mode {parallel!r}")
 
     hung = False
     owned = pool is None
-    mode = _payload_mode()
     payloads: List[object] = []
     try:
         if owned:
             pool = SharedTablePool(jobs, gen, program=(source, program))
         futures = {
             name: pool.submit(
-                _compile_function_resilient_worker, (source, name, mode)
+                _compile_function_resilient_worker, (source, name)
             )
             for name in names
         }
         pool_broken = False
         for name in names:
             if pool_broken:
-                _recover_in_parent(gen, program, name, out)
+                _ladder_in_parent(gen, program, name, out)
                 continue
             try:
                 tier, result, diags, payload = \
@@ -1180,7 +1129,7 @@ def _compile_functions_resilient(
                     function=name,
                     timeout_seconds=timeout,
                 )
-                _recover_in_parent(gen, program, name, out)
+                _ladder_in_parent(gen, program, name, out)
             except BrokenProcessPool:
                 pool_broken = True
                 pool.broken = True
@@ -1191,14 +1140,14 @@ def _compile_functions_resilient(
                     "in the parent",
                     function=name,
                 )
-                _recover_in_parent(gen, program, name, out)
+                _ladder_in_parent(gen, program, name, out)
             except Exception as exc:
                 out.diagnostics.add(
                     codes.WORKER_CRASH,
                     f"worker raised {exc!r}; recovering in parent",
                     function=name,
                 )
-                _recover_in_parent(gen, program, name, out)
+                _ladder_in_parent(gen, program, name, out)
     finally:
         # Same deferral as the fast path: fold worker obs after the
         # last result, never between two futures.

@@ -49,7 +49,6 @@ GG_SEMANTIC = "GG-SEMANTIC"
 GG_TABLE_CORRUPT = "GG-TABLE-CORRUPT"
 
 # ------------------------------------------------------------ recovery
-RECOVER_PACKED = "RECOVER-PACKED"
 RECOVER_DICT = "RECOVER-DICT"
 RECOVER_FORCE = "RECOVER-FORCE"
 RECOVER_PCC = "RECOVER-PCC"
@@ -97,11 +96,6 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
     GG_TABLE_CORRUPT: (
         ERROR,
         "packed runtime tables failed their integrity checksum",
-    ),
-    RECOVER_PACKED: (
-        NOTE,
-        "function recompiled successfully on the packed interpreter "
-        "after the compiled matcher failed",
     ),
     RECOVER_DICT: (
         NOTE,

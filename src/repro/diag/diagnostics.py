@@ -74,9 +74,9 @@ class Diagnostic:
 class DiagnosticSink:
     """Thread-safe collector for one compilation's diagnostics.
 
-    Thread workers of the parallel driver append concurrently; process
-    workers return their diagnostics by value and the parent extends the
-    sink, so one lock around the list suffices.
+    Process workers return their diagnostics by value and the parent
+    extends the sink; one lock around the list keeps it safe to share
+    across threads.
     """
 
     def __init__(self) -> None:

@@ -7,28 +7,23 @@ instruction emission, choosing among tied reductions — is delegated to a
 :class:`SemanticActions` object, mirroring the paper's decision to code
 semantics as hand-written target-specific routines keyed by production.
 
-Three drive loops share the same semantics contract.  The *packed* loop
+Two drive loops share the same semantics contract.  The *packed* loop
 — the default — interns the token stream once and then runs shift/reduce
 entirely on the integer arrays of :class:`repro.tables.encode.PackedTables`
 (binary-searched rows, flat reduce pool, per-production length/LHS-id
 tables), answering the paper's complaint that the matcher "spent too much
-time ... unpacking the description tables".  The *compiled* loop goes one
-step further: :mod:`repro.tables.compiled` renders the compacted tables
-as specialized Python source whose generated loop pair this class binds
-to its own block/tie-break/loop-guard machinery; when generation fails
-(epsilon productions, cache trouble) the matcher falls back to packed
-transparently.  The *dict* loop is the original string-keyed reference
-implementation, kept behind ``engine="dict"`` (or ``use_packed=False``)
-for differential testing and for full traces.  Engine selection also
-honours the ``REPRO_MATCHER`` environment variable
-(``compiled|packed|dict``) when neither argument pins a choice.
+time ... unpacking the description tables".  The *dict* loop is the
+original string-keyed reference implementation, kept behind
+``engine="dict"`` for differential testing and for full traces.  Engine
+selection also honours the ``REPRO_MATCHER`` environment variable
+(``packed|dict``) when the argument does not pin a choice.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..grammar.production import Production
 from ..grammar.symbols import END
@@ -36,7 +31,6 @@ from ..ir.linearize import Token, linearize
 from ..ir.tree import Node
 from ..obs.metrics import REGISTRY as METRICS
 from ..tables.actions import Accept, Reduce, Shift
-from ..tables.compiled import CompiledMatcher, compiled_matcher_for
 from ..tables.encode import TAG_ACCEPT, TAG_REDUCE, TAG_SHIFT
 from ..tables.slr import ParseTables
 from .descriptors import Descriptor, void
@@ -57,21 +51,19 @@ _END_TOKEN = _end_token()
 #: serves every untraced match and spares a construction per call.
 _NULL_TRACER = NullTracer()
 
-#: Entry cap for the per-matcher null-semantics match memo; past it the
-#: memo stops admitting new streams (repeats already in it still hit).
-_MATCH_MEMO_LIMIT = 8192
-
 #: The selectable drive loops, fastest first.
-ENGINES = ("compiled", "packed", "dict")
+ENGINES = ("packed", "dict")
 
-#: Environment override for the default engine (``compiled|packed|dict``).
+#: Environment override for the default engine (``packed|dict``).
 ENV_ENGINE = "REPRO_MATCHER"
 
-#: When truthy, the compiled loop records per-production reduce counts
-#: as ``matcher.rule.<index>`` metrics — the corpus profile that
-#: :func:`repro.tables.compiled.rule_frequencies` drains for
-#: frequency-guided table layout.
+#: When truthy, the code generator records per-production reduce counts
+#: as ``matcher.rule.<index>`` metrics, whatever the engine — the
+#: grammar-coverage profile that :func:`rule_frequencies` drains.
 ENV_RULE_OBS = "REPRO_OBS_RULES"
+
+#: Counter-name prefix of those per-production reduce counts.
+RULE_METRIC_PREFIX = "matcher.rule."
 
 _FALSEY = {"", "0", "off", "false", "no"}
 
@@ -107,11 +99,9 @@ def _warn_unknown_env_engine(value: str) -> None:
     print(diagnostic.format(), file=sys.stderr)
 
 
-def resolve_engine(
-    engine: Optional[str] = None, use_packed: Optional[bool] = None
-) -> str:
-    """Pick a drive loop: explicit *engine* wins, then the legacy
-    *use_packed* boolean, then ``$REPRO_MATCHER``, then ``"packed"``.
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """Pick a drive loop: explicit *engine* wins, then
+    ``$REPRO_MATCHER``, then ``"packed"``.
 
     An explicit but unknown *engine* raises.  An unknown environment
     value still resolves to the default (a misspelled env var must not
@@ -125,8 +115,6 @@ def resolve_engine(
                 f"unknown matcher engine {engine!r}; expected one of {ENGINES}"
             )
         return engine
-    if use_packed is not None:
-        return "packed" if use_packed else "dict"
     value = os.environ.get(ENV_ENGINE, "").strip().lower()
     if value in ENGINES:
         return value
@@ -138,6 +126,28 @@ def resolve_engine(
 def rule_observation_enabled() -> bool:
     """Whether ``$REPRO_OBS_RULES`` asks for per-rule reduce counts."""
     return os.environ.get(ENV_RULE_OBS, "").strip().lower() not in _FALSEY
+
+
+def rule_frequencies(snapshot: Optional[Any] = None) -> Dict[int, int]:
+    """Production-index -> reduce-count histogram from the obs registry.
+
+    The code generator records ``matcher.rule.<index>`` counters when
+    ``REPRO_OBS_RULES`` is set (e.g. while replaying the fuzz corpus);
+    this drains them into one mapping.  Pass a :class:`MetricsSnapshot`
+    to read a saved profile instead of the live registry.
+    """
+    counters = (
+        snapshot.counters if snapshot is not None
+        else METRICS.snapshot().counters
+    )
+    frequencies: Dict[int, int] = {}
+    for name, value in counters.items():
+        if name.startswith(RULE_METRIC_PREFIX):
+            try:
+                frequencies[int(name[len(RULE_METRIC_PREFIX):])] = value
+            except ValueError:
+                continue
+    return frequencies
 
 
 class MatchError(Exception):
@@ -276,38 +286,22 @@ class MatchResult:
 class Matcher:
     """A reusable pattern matcher bound to one set of parse tables.
 
-    ``engine`` selects the drive loop (``"compiled"``, ``"packed"`` or
-    ``"dict"``); the legacy ``use_packed`` boolean and the
-    ``$REPRO_MATCHER`` environment variable are honoured through
-    :func:`resolve_engine` when ``engine`` is not given.  The compiled
-    engine falls back to packed whenever the generated program is
-    unavailable.  A real (non-null) tracer always uses the dict path,
-    which records the full symbol-stack renderings the appendix-style
-    traces need.
+    ``engine`` selects the drive loop (``"packed"`` or ``"dict"``); the
+    ``$REPRO_MATCHER`` environment variable is honoured through
+    :func:`resolve_engine` when ``engine`` is not given.  A real
+    (non-null) tracer always uses the dict path, which records the full
+    symbol-stack renderings the appendix-style traces need.
     """
 
     def __init__(
         self,
         tables: ParseTables,
         semantics: Optional[SemanticActions] = None,
-        use_packed: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.tables = tables
         self.semantics = semantics or SemanticActions()
-        self.engine = resolve_engine(engine, use_packed)
-        self.use_packed = self.engine != "dict"
-        #: (program, match_null, match_sem, null_ok, intern_get, end_id)
-        #: for the bound compiled program, built on first compiled match.
-        self._bound: Optional[tuple] = None
-        #: Null-semantics match memo: interned id sequence -> reduction
-        #: tuple.  With the default do-nothing semantics a match outcome
-        #: is a pure function of the id sequence, and linearized
-        #: statement trees repeat heavily across a program, so the
-        #: compiled engine replays repeats as one dict hit.  Bounded;
-        #: never consulted when semantics hooks are overridden.
-        self._match_memo: dict = {}
-        self._observe_rules = rule_observation_enabled()
+        self.engine = resolve_engine(engine)
 
     # ----------------------------------------------------------- driving
     def match_tree(self, tree: Node, tracer: Optional[Tracer] = None) -> MatchResult:
@@ -319,18 +313,7 @@ class Matcher:
     ) -> MatchResult:
         if tracer is None:
             tracer = _NULL_TRACER
-        if self.use_packed and isinstance(tracer, NullTracer):
-            if self.engine == "compiled":
-                bound = self._bound
-                if bound is None:
-                    program = compiled_matcher_for(self.tables)
-                    if program is not None:
-                        bound = self._bind_compiled(program)
-                if bound is not None:
-                    METRICS.inc("matcher.compiled_runs")
-                    return self._match_compiled(bound, tokens, tracer)
-                # generation failed (memoized); ride the packed loop
-                METRICS.inc("matcher.compiled_fallbacks")
+        if self.engine == "packed" and isinstance(tracer, NullTracer):
             METRICS.inc("matcher.packed_runs")
             return self._match_packed(tokens, tracer)
         METRICS.inc("matcher.dict_runs")
@@ -521,134 +504,6 @@ class Matcher:
             return viable[0]
         kids = descriptors[-count:]
         return self.semantics.choose(viable, kids)
-
-    # --------------------------------------------- compiled (fastest) loop
-    def _match_compiled(
-        self, bound: tuple, tokens: Sequence[Token], tracer: Tracer
-    ) -> MatchResult:
-        """Drive the generated loop pair from :mod:`repro.tables.compiled`.
-
-        The generated module owns the table literals and the shift/reduce
-        loop; this method interns the stream, picks the null- or
-        full-semantics variant, and wraps the reductions in the same
-        :class:`MatchResult` the other loops produce.  Differential
-        equivalence with :meth:`_match_packed` — including error paths —
-        is the contract the generated source is rendered to keep.  The
-        token sequence is passed through uncopied: the loops only read
-        it, and the bound ``block`` helper materializes the ``$end``
-        sentinel on the rare blocking path that needs it.
-        """
-        get = bound[4]
-        ids = [get(token.symbol, -1) for token in tokens]
-        ids.append(bound[5])
-        if bound[3]:
-            memo = self._match_memo
-            key = tuple(ids)
-            hit = memo.get(key)
-            if hit is not None:
-                METRICS.inc("matcher.memo_hits")
-                reductions = list(hit)
-            else:
-                reductions = bound[1](ids, tokens)
-                if len(memo) < _MATCH_MEMO_LIMIT:
-                    memo[key] = tuple(reductions)
-            result = MatchResult(_SHARED_VOID, reductions, tracer)
-        else:
-            descriptors: List[Descriptor] = [void()]
-            semantics = self.semantics
-            reductions = bound[2](
-                ids, tokens, descriptors,
-                semantics.on_shift, semantics.on_reduce,
-            )
-            result = MatchResult(descriptors[-1], reductions, tracer)
-        if self._observe_rules:
-            counts: dict = {}
-            for production in reductions:
-                index = production.index
-                counts[index] = counts.get(index, 0) + 1
-            for index, count in counts.items():
-                METRICS.inc(f"matcher.rule.{index}", count)
-        return result
-
-    def _bind_compiled(self, program: CompiledMatcher) -> tuple:
-        """Close the generated loops over this matcher's slow paths.
-
-        The generated source delegates everything non-hot back here:
-        ``block`` builds the one true :class:`SyntacticBlock` (appending
-        the ``$end`` sentinel the compiled caller did not materialize),
-        ``choose`` runs the packed tie-break contract (viability filter,
-        then the semantic hook), and ``loop`` is the reduction-cycle
-        backstop.  The binding is memoized per (matcher, program) pair.
-        """
-        packed = self.tables.packed()
-        productions = self.tables.grammar.productions
-        prod_rhs_len = packed.prod_rhs_len
-        prod_lhs_id = packed.prod_lhs_id
-        pool_tied = program.pool_tied
-        semantics = self.semantics
-
-        def block(state, stream, position, states):
-            if position >= len(stream):
-                stream = list(stream)
-                stream.append(_END_TOKEN)
-            return self._block(state, stream, position, states)
-
-        def choose(pool, states, descriptors):
-            METRICS.inc("matcher.tie_breaks")
-            tied = pool_tied[pool]
-            count = prod_rhs_len[tied[0]]
-            exposed = states[-count - 1]
-            viable = [
-                (productions[index], target) for index in tied
-                if (target := program.goto_target(
-                    prod_lhs_id[index], exposed)) >= 0
-            ]
-            if not viable:
-                METRICS.inc("matcher.block.semantic")
-                raise SemanticBlock(
-                    f"reduce/reduce tie {tied} has no viable goto "
-                    f"from state {exposed}",
-                    state=exposed,
-                    state_stack=tuple(states),
-                )
-            if len(viable) == 1:
-                return viable[0]
-            kids = () if descriptors is None else descriptors[-count:]
-            production = semantics.choose([p for p, _ in viable], kids)
-            target = program.goto_target(
-                prod_lhs_id[production.index], exposed
-            )
-            if target < 0:  # choose() went outside the viable set
-                METRICS.inc("matcher.block.semantic")
-                raise SemanticBlock(
-                    f"no goto from state {exposed} on {production.lhs!r} "
-                    f"after reducing {production}",
-                    state=exposed,
-                    lhs=production.lhs,
-                    state_stack=tuple(states),
-                )
-            return production, target
-
-        def loop(state, nred):
-            METRICS.inc("matcher.block.loop")
-            return ReductionLoop(
-                f"{nred} reductions without acceptance in state {state}",
-                state=state,
-            )
-
-        match_null, match_sem = program.bind(productions, block, choose, loop)
-        base = SemanticActions
-        kind = type(self.semantics)
-        null_ok = (
-            kind.on_shift is base.on_shift
-            and kind.on_reduce is base.on_reduce
-            and kind.choose is base.choose
-        )
-        get = packed.symbol_ids.get
-        self._bound = (
-            program, match_null, match_sem, null_ok, get, get(END, -1),
-        )
-        return self._bound
 
     # -------------------------------------------- dict (reference) loop
     def _match_dict(

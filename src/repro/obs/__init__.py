@@ -15,9 +15,9 @@ Three layers, cheapest first:
 
 Process-pool workers ship their observability back by value: a
 :class:`WorkerObs` payload (metrics delta + span records) rides home
-with each task result and the parent absorbs it, so ``jobs=4
---parallel process`` produces the same merged counters and one trace
-with a timeline row per worker pid.
+with each task result and the parent absorbs it, so ``--jobs 4``
+produces the same merged counters and one trace with a timeline row per
+worker pid.
 """
 
 from __future__ import annotations

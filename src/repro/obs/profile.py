@@ -61,7 +61,6 @@ class ProfileReport:
     source: str
     backend: str
     jobs: int
-    parallel: str
     static: Dict[str, Any] = field(default_factory=dict)
     functions: List[FunctionProfile] = field(default_factory=list)
     totals: Dict[str, float] = field(default_factory=dict)
@@ -76,7 +75,7 @@ class ProfileReport:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "source": self.source, "backend": self.backend,
-            "jobs": self.jobs, "parallel": self.parallel,
+            "jobs": self.jobs,
             "static": self.static,
             "functions": [fn.to_dict() for fn in self.functions],
             "totals": {k: round(v, 9) for k, v in self.totals.items()},
@@ -96,8 +95,7 @@ class ProfileReport:
 
         lines = [
             f"profile: {self.source} "
-            f"(backend={self.backend}, jobs={self.jobs}, "
-            f"parallel={self.parallel})",
+            f"(backend={self.backend}, jobs={self.jobs})",
         ]
         static = self.static
         if static:
@@ -118,14 +116,10 @@ class ProfileReport:
                 f"static phase: {static.get('seconds', 0.0):.3f} s ({detail})"
             )
             tables = static.get("tables")
-            if tables and tables.get("compact_entries"):
+            if tables:
                 lines.append(
                     f"table sizes: packed {tables['packed_entries']} entries "
-                    f"({tables['packed_bytes']} bytes); compacted "
-                    f"{tables['compact_rows']} rows + "
-                    f"{tables['compact_goto_columns']} goto cols, "
-                    f"{tables['compact_entries']} words "
-                    f"({tables['compact_bytes']} bytes)"
+                    f"({tables['packed_bytes']} bytes)"
                 )
         if self.functions:
             header = (
@@ -194,7 +188,6 @@ def profile_program(
     label: str = "<source>",
     backend: str = "gg",
     jobs: int = 1,
-    parallel: str = "thread",
     resilient: bool = False,
     generator=None,
     **generator_options: Any,
@@ -217,7 +210,7 @@ def profile_program(
             generator = GrahamGlanvilleCodeGenerator(**generator_options)
         assembly = compile_program(
             source, backend=backend, generator=generator,
-            jobs=jobs, parallel=parallel, resilient=resilient,
+            jobs=jobs, resilient=resilient,
         )
         snapshot = REGISTRY.drain()
     finally:
@@ -226,7 +219,7 @@ def profile_program(
     REGISTRY.absorb(snapshot)
 
     report = ProfileReport(
-        source=label, backend=backend, jobs=jobs, parallel=parallel,
+        source=label, backend=backend, jobs=jobs,
     )
     if backend == "gg" and generator is not None:
         report.static = {
@@ -246,16 +239,12 @@ def profile_program(
         report.static["tables"] = {
             "packed_entries": size.packed_entries,
             "packed_bytes": size.packed_bytes,
-            "compact_rows": size.compact_rows,
-            "compact_goto_columns": size.compact_goto_columns,
-            "compact_entries": size.compact_entries,
-            "compact_bytes": size.compact_bytes,
         }
 
     phase_sums = {phase: 0.0 for phase in PHASES}
     for name in assembly.source_program.order:
         result = assembly.function_results[name]
-        default_tier = "packed" if backend == "gg" else backend
+        default_tier = generator.engine if backend == "gg" else backend
         fn = FunctionProfile(
             name=name, tier=assembly.tiers.get(name, default_tier),
         )

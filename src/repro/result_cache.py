@@ -11,7 +11,7 @@ by one is warm for the other.  The key is content-addressed end to end::
            canonical globals | canonical function source)
 
 so a warm entry is valid by construction: any change to the target, to
-the constructed tables (grammar edits, compaction changes — via the
+the constructed tables (grammar edits, packing changes — via the
 packed-content fingerprint), to the matcher engine, to the peephole
 toggle, or to the function's own source splits the key space and
 misses.  The target name is an *explicit* key component, not inferred
@@ -77,19 +77,25 @@ DEFAULT_MEMORY_ENTRIES = 4096
 def table_fingerprint(generator: Any) -> str:
     """Content identity of everything static a result depends on.
 
-    The packed-table content hash (:func:`matchgen_fingerprint` covers
-    symbols, action rows, gotos, reduce pools and production metadata)
-    plus the generator options that change emitted text without
-    changing the tables.  Computed once per generator — the server does
-    it at startup — because hashing every packed row is milliseconds,
-    not nanoseconds.
+    The full packed-table content (symbols, action rows, defaults,
+    gotos, reduce pools and production metadata) plus the generator
+    options that change emitted text without changing the tables.
+    Computed once per generator — the server does it at startup —
+    because hashing every packed row is milliseconds, not nanoseconds.
     """
-    from .tables.compiled import matchgen_fingerprint
-
+    packed = generator.tables.packed()
     hasher = hashlib.sha256()
     hasher.update(f"result-v{RESULT_VERSION}".encode())
     hasher.update(f"|target={generator.target.name}".encode())
-    hasher.update(matchgen_fingerprint(generator.tables.packed()).encode())
+    hasher.update(repr(sorted(packed.symbol_ids.items())).encode())
+    for row in packed.action_rows:
+        hasher.update(repr(row).encode())
+    hasher.update(repr(packed.default_reduce).encode())
+    for row in packed.goto_rows:
+        hasher.update(repr(row).encode())
+    hasher.update(repr(packed.reduce_pool).encode())
+    hasher.update(repr(packed.prod_lhs_id).encode())
+    hasher.update(repr(packed.prod_rhs_len).encode())
     hasher.update(f"|peephole={generator.peephole}".encode())
     return hasher.hexdigest()
 

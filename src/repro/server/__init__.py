@@ -19,7 +19,7 @@ breaker sheds load when the backend is failing, and SIGTERM/SIGINT
 drains gracefully — every admitted request is answered, worst case with
 a structured ``SERVER-SHUTDOWN`` error.
 
-Six modules::
+Five modules::
 
     protocol.py      length-prefixed JSON frames; sans-IO FrameDecoder,
                      blocking and asyncio transports
@@ -27,7 +27,6 @@ Six modules::
                      deadlines, warm pool, result cache, graceful drain
     supervisor.py    WorkerSupervisor + CircuitBreaker: supervised
                      compile subprocesses, retries, breaker
-    result_cache.py  content-addressed per-function assembly cache
     client.py        CompileClient: jittered connect retry, pipelining
     loadgen.py       concurrent load harness behind ``ggcc load-test``
 """
@@ -38,7 +37,6 @@ from .protocol import (
     FrameDecoder, ProtocolError, encode_frame, read_frame_async,
     recv_frame, send_frame, write_frame_async,
 )
-from .result_cache import ResultCache, result_key, table_fingerprint
 from .server import CompileServer
 from .supervisor import (
     BreakerPolicy, CircuitBreaker, JobOutcome, WorkerFailure,
@@ -49,7 +47,6 @@ __all__ = [
     "CompileClient", "CompileServer", "ProtocolError", "FrameDecoder",
     "encode_frame", "recv_frame", "send_frame",
     "read_frame_async", "write_frame_async",
-    "ResultCache", "result_key", "table_fingerprint",
     "LoadReport", "run_load", "resilience_report",
     "WorkerSupervisor", "CircuitBreaker", "BreakerPolicy",
     "JobOutcome", "WorkerFailure",

@@ -4,7 +4,7 @@ A :class:`CompileServer` owns one warm generator (tables constructed at
 startup, never again), an optional persistent
 :class:`~repro.compile.SharedTablePool` (``jobs > 1``), and a
 per-function content-addressed **result cache**
-(:mod:`repro.server.result_cache`): repeat traffic whose functions,
+(:mod:`repro.result_cache`): repeat traffic whose functions,
 tables and engine are unchanged skips the dynamic phase entirely.
 
 The service is an asyncio accept loop built for concurrent load:
@@ -60,7 +60,7 @@ Operations (JSON frames, :mod:`repro.server.protocol`):
 ``{"op": "ping"}``
     liveness probe; returns the server pid and uptime.
 ``{"op": "compile", "source": ..., "id"?, "deadline"?, "jobs"?,
-"parallel"?, "resilient"?, "spans"?}``
+"resilient"?, "spans"?}``
     compile one translation unit; the response carries the assembly,
     per-function tiers and failures, structured diagnostics, the
     request's metrics *delta*, result-cache traffic, and (with
@@ -103,7 +103,7 @@ from ..obs.spans import span
 from .protocol import (
     ProtocolError, read_frame_async, write_frame_async,
 )
-from .result_cache import ResultCache, table_fingerprint
+from ..result_cache import ResultCache, table_fingerprint
 from .supervisor import (
     CircuitBreaker, DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES, JobOutcome,
     WorkerSupervisor,
@@ -1114,20 +1114,18 @@ class CompileServer:
         pool, exactly the PR-5 semantics — and, when the result cache is
         on, the population side of a fully-cold cached request."""
         jobs = int(request.get("jobs", self.jobs))
-        parallel = request.get("parallel", "process")
         resilient = bool(request.get("resilient", False))
 
         # The resilient path may terminate workers for containment —
         # that poisons a pool, so it never borrows the persistent one.
         pool = None
-        if jobs > 1 and parallel == "process" and not resilient:
+        if jobs > 1 and not resilient:
             pool = self._ensure_pool()
 
         assembly = compile_program(
             source,
             generator=self.generator,
             jobs=jobs,
-            parallel=parallel,
             resilient=resilient,
             timeout=request.get("timeout"),
             pool=pool,

@@ -16,14 +16,8 @@ from .cache import (
     CACHE_VERSION, CacheOutcome, TableCache, cache_enabled, cached_build,
     default_cache_dir, table_cache_key,
 )
-from .compiled import (
-    CACHE_KIND, CODEGEN_VERSION, CompiledMatcher, compiled_matcher_for,
-    load_or_build_compiled, matchgen_fingerprint, render_matcher_source,
-    rule_frequencies,
-)
 from .encode import (
-    CompactedTables, CompactionError, CompactionReport, PackedRuntime,
-    PackedTables, SizeReport, compact_tables, measure_tables, pack_tables,
+    PackedRuntime, PackedTables, SizeReport, measure_tables, pack_tables,
 )
 from .lr0 import Automaton, Item, Kernel, build_automaton
 from .naive import build_automaton_naive
@@ -39,11 +33,6 @@ __all__ = [
     "operand_starter_terminals",
     "PackedRuntime", "PackedTables", "SizeReport", "pack_tables",
     "measure_tables",
-    "CompactedTables", "CompactionError", "CompactionReport",
-    "compact_tables",
-    "CACHE_KIND", "CODEGEN_VERSION", "CompiledMatcher",
-    "compiled_matcher_for", "load_or_build_compiled",
-    "matchgen_fingerprint", "render_matcher_source", "rule_frequencies",
     "CACHE_VERSION", "CacheOutcome", "TableCache", "cache_enabled",
     "cached_build", "default_cache_dir", "table_cache_key",
 ]

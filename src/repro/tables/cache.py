@@ -149,8 +149,8 @@ class TableCache:
 
     def path_for(self, key: str, kind: str = "tables") -> str:
         """Entry path; *kind* namespaces envelope flavours sharing one
-        directory (``tables`` pickles, ``matchgen`` compiled-matcher
-        sources) without any change to the envelope format itself."""
+        directory (``tables`` pickles, ``result`` per-function
+        assembly) without any change to the envelope format itself."""
         return os.path.join(self.directory, f"{key}.{kind}.pickle")
 
     # ------------------------------------------------------------- load
@@ -239,8 +239,8 @@ class TableCache:
 
         The v2 quarantine path normally fires inside :meth:`load` when an
         envelope is damaged; callers whose payload passes the envelope
-        checks but fails *semantic* validation (a compiled source that no
-        longer ``exec``s, say) use this to give the entry the same
+        checks but fails *semantic* validation (a result entry missing
+        its assembly, say) use this to give the entry the same
         ``*.quarantined`` post-mortem treatment instead of re-trusting
         it on the next load.
         """

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .actions import Accept, Action, Reduce, Shift
 from .slr import ParseTables
@@ -57,11 +57,6 @@ class PackedTables:
     prod_lhs_id: List[int] = field(default_factory=list)
     prod_rhs_len: List[int] = field(default_factory=list)
     _runtime: Optional["PackedRuntime"] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Memoized compiled-matcher program (or False after a failed build);
-    #: runtime-only, like ``_runtime`` — never pickled into the cache.
-    _compiled: Optional[object] = field(
         default=None, repr=False, compare=False
     )
 
@@ -154,7 +149,6 @@ class PackedTables:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_runtime"] = None  # dense expansion is rebuilt, not stored
-        state["_compiled"] = None  # generated matcher is rebuilt/reloaded
         return state
 
 
@@ -314,290 +308,31 @@ def _encode(action: Action, intern_reduce) -> Tuple[int, int]:
     raise TypeError(f"unknown action {action!r}")
 
 
-# ---------------------------------------------------------- compaction
-#
-# The compiled matcher (repro.tables.compiled) does not interpret tagged
-# action words; it runs over a *compacted* rendering built here:
-#
-# * every state's action row becomes one dense tuple of length
-#   ``nsymbols + 1`` with the row's default reduce folded into every
-#   unmentioned slot AND into the extra ``[-1]`` slot, so a symbol
-#   interned to -1 (outside the grammar) lands on the default with no
-#   branch at all;
-# * identical rows are merged — the VAX tables share well over a third
-#   of their 759 rows — and likewise identical goto columns;
-# * action words trade the packed ``(arg << 2) | tag`` encoding for a
-#   branch-shaped one: error is -1, accept is -2, a shift is the even
-#   word ``target << 1`` and a reduce the odd word ``(pool << 1) | 1``,
-#   so the generated loop classifies a word with one sign test and one
-#   parity test, reduces first (chain reductions dominate, E8);
-# * per-pool metadata (RHS length, production index, goto column) is
-#   precomputed so an unambiguous reduce never touches a Production
-#   object or a second lookup table.
-
-#: Compact action words (distinct from the packed TAG_* encoding).
-COMPACT_ERROR = -1
-COMPACT_ACCEPT = -2
-
-
-class CompactionError(ValueError):
-    """The tables cannot be compacted (e.g. an epsilon production, which
-    neither integer loop supports); callers fall back to packed."""
-
-
-@dataclass(frozen=True)
-class CompactionReport:
-    """What the compaction pass saved, for ``SizeReport`` and benches.
-
-    ``dense_words`` is the flat-matrix baseline the packed runtime
-    expands to (action + goto matrices, defaults, pool singles);
-    ``compact_words`` is what the merged rows/columns plus the pool
-    metadata actually hold.
-    """
-
-    states: int
-    nsymbols: int
-    unique_action_rows: int
-    unique_goto_columns: int
-    dense_words: int
-    compact_words: int
-    frequency_guided: bool = False
-
-    @property
-    def compact_bytes(self) -> int:
-        """Size at 32-bit words, the same unit the runtime matrices use."""
-        return self.compact_words * 4
-
-    @property
-    def saved_fraction(self) -> float:
-        if not self.dense_words:
-            return 0.0
-        return 1.0 - self.compact_words / self.dense_words
-
-
-@dataclass
-class CompactedTables:
-    """Row/column-merged tables in the compiled matcher's encoding.
-
-    ``rows[row_of_state[s]][sym]`` is the compact action word for
-    ``(s, sym)`` (slot ``nsymbols``, reachable as index -1, holds the
-    default).  ``goto_cols[goto_col_of_lhs[lhs_id]][s]`` is the goto
-    target (-1 when absent).  ``pool_len``/``pool_prod``/``pool_goto``
-    describe each reduce-pool entry (length 0 and production -1 mark an
-    ambiguous tie, resolved through ``pool_tied`` on a slow path).
-    """
-
-    nsymbols: int
-    start_state: int
-    row_of_state: Tuple[int, ...]
-    rows: Tuple[Tuple[int, ...], ...]
-    goto_cols: Tuple[Tuple[int, ...], ...]
-    goto_col_of_lhs: Dict[int, int]
-    pool_len: Tuple[int, ...]
-    pool_prod: Tuple[int, ...]
-    pool_goto: Tuple[int, ...]          # index into goto_cols, -1 when none
-    pool_tied: Tuple[Tuple[int, ...], ...]
-    report: CompactionReport
-
-    @property
-    def nstates(self) -> int:
-        return len(self.row_of_state)
-
-    def action_word(self, state: int, symbol_id: int) -> int:
-        """Compact word for (state, symbol); -1-interned symbols take the
-        folded default slot exactly like the generated loop does."""
-        return self.rows[self.row_of_state[state]][symbol_id]
-
-
-def compact_tables(
-    packed: PackedTables,
-    frequencies: Optional[Mapping[int, int]] = None,
-    start_state: int = 0,
-) -> CompactedTables:
-    """Merge rows/columns and re-encode *packed* for the compiled matcher.
-
-    *frequencies* (production index -> observed reduce count, e.g. drained
-    from the obs registry over the fuzz corpus) optionally guides layout:
-    hot reduce pools take the low word values and hot shared rows are
-    emitted first.  Layout never changes behaviour — only emission order
-    and word numbering — but it is part of the compiled cache key.
-    """
-    nsymbols = len(packed.symbol_ids)
-    nstates = len(packed.action_rows)
-    npool = len(packed.reduce_pool)
-
-    # Reduce-pool renumbering (hot-first under frequency guidance).
-    order = list(range(npool))
-    if frequencies:
-        weight = [
-            sum(frequencies.get(index, 0) for index in tied)
-            for tied in packed.reduce_pool
-        ]
-        order.sort(key=lambda p: (-weight[p], p))
-    new_pool = {old: new for new, old in enumerate(order)}
-    pool_tied = tuple(packed.reduce_pool[old] for old in order)
-
-    # Dense action rows with the default folded in; identical rows merge.
-    row_index: Dict[Tuple[int, ...], int] = {}
-    rows: List[Tuple[int, ...]] = []
-    row_of_state: List[int] = []
-    for state in range(nstates):
-        default = packed.default_reduce[state]
-        default_word = (
-            (new_pool[default] << 1) | 1 if default >= 0 else COMPACT_ERROR
-        )
-        row = [default_word] * (nsymbols + 1)
-        for symbol_id, tag, argument in packed.action_rows[state]:
-            if tag == TAG_SHIFT:
-                row[symbol_id] = argument << 1
-            elif tag == TAG_REDUCE:
-                row[symbol_id] = (new_pool[argument] << 1) | 1
-            else:
-                row[symbol_id] = COMPACT_ACCEPT
-        key = tuple(row)
-        index = row_index.get(key)
-        if index is None:
-            index = row_index[key] = len(rows)
-            rows.append(key)
-        row_of_state.append(index)
-
-    # Goto columns per LHS symbol; identical columns merge too.
-    columns: Dict[int, List[int]] = {}
-    for state in range(nstates):
-        for symbol_id, target in packed.goto_rows[state]:
-            column = columns.get(symbol_id)
-            if column is None:
-                column = columns[symbol_id] = [-1] * nstates
-            column[state] = target
-    col_index: Dict[Tuple[int, ...], int] = {}
-    goto_cols: List[Tuple[int, ...]] = []
-    goto_col_of_lhs: Dict[int, int] = {}
-    for symbol_id in sorted(columns):
-        key = tuple(columns[symbol_id])
-        index = col_index.get(key)
-        if index is None:
-            index = col_index[key] = len(goto_cols)
-            goto_cols.append(key)
-        goto_col_of_lhs[symbol_id] = index
-
-    # Per-pool reduce metadata (0-length marks the ambiguous slow path,
-    # which is why epsilon productions cannot ride the fast loop).
-    pool_len = [0] * npool
-    pool_prod = [-1] * npool
-    pool_goto = [-1] * npool
-    for new, tied in enumerate(pool_tied):
-        if len(tied) != 1:
-            continue
-        index = tied[0]
-        length = packed.prod_rhs_len[index]
-        if length == 0:
-            raise CompactionError(
-                f"production {index} has an empty RHS; the compiled "
-                f"matcher (like the packed loop) requires non-epsilon "
-                f"productions"
-            )
-        pool_len[new] = length
-        pool_prod[new] = index
-        pool_goto[new] = goto_col_of_lhs.get(packed.prod_lhs_id[index], -1)
-
-    # Frequency-guided row emission order: rows reached by more states
-    # (weighted by their default pool's heat) come first in the generated
-    # source.  Pure layout — row identity is untouched.
-    if frequencies:
-        sharing = [0] * len(rows)
-        for index in row_of_state:
-            sharing[index] += 1
-        emit_order = sorted(
-            range(len(rows)), key=lambda r: (-sharing[r], r)
-        )
-        remap = {old: new for new, old in enumerate(emit_order)}
-        rows = [rows[old] for old in emit_order]
-        row_of_state = [remap[index] for index in row_of_state]
-
-    dense_words = 2 * nstates * nsymbols + nstates + npool
-    compact_words = (
-        len(rows) * (nsymbols + 1)
-        + len(goto_cols) * nstates
-        + nstates                      # row_of_state
-        + 3 * npool                    # pool_len/prod/goto
-    )
-    report = CompactionReport(
-        states=nstates,
-        nsymbols=nsymbols,
-        unique_action_rows=len(rows),
-        unique_goto_columns=len(goto_cols),
-        dense_words=dense_words,
-        compact_words=compact_words,
-        frequency_guided=bool(frequencies),
-    )
-    return CompactedTables(
-        nsymbols=nsymbols,
-        start_state=start_state,
-        row_of_state=tuple(row_of_state),
-        rows=tuple(rows),
-        goto_cols=tuple(goto_cols),
-        goto_col_of_lhs=goto_col_of_lhs,
-        pool_len=tuple(pool_len),
-        pool_prod=tuple(pool_prod),
-        pool_goto=tuple(pool_goto),
-        pool_tied=pool_tied,
-        report=report,
-    )
-
-
 @dataclass(frozen=True)
 class SizeReport:
-    """Uncompressed vs compressed sizes, the E4 'size of the tables' metric.
-
-    The ``compact_*`` fields report the *post-compaction* representation
-    the compiled matcher runs on (merged rows/columns, folded defaults) —
-    the numbers ``ggcc profile`` and BENCH_parse surface so the
-    compaction win is visible next to the packed sizes.
-    """
+    """Uncompressed vs compressed sizes, the E4 'size of the tables' metric."""
 
     states: int
     dense_entries: int       # states x symbols, the flat-matrix baseline
     sparse_entries: int      # explicit actions + gotos, no compression
     packed_entries: int      # after default-reduce row compression
     packed_bytes: int
-    compact_rows: int = 0          # unique action rows after merging
-    compact_goto_columns: int = 0  # unique goto columns after merging
-    compact_entries: int = 0       # words in the compacted representation
-    compact_bytes: int = 0
 
     def __str__(self) -> str:
-        text = (
+        return (
             f"{self.states} states; dense {self.dense_entries} entries, "
             f"sparse {self.sparse_entries}, packed {self.packed_entries} "
             f"({self.packed_bytes} bytes)"
         )
-        if self.compact_entries:
-            text += (
-                f"; compacted {self.compact_rows} rows + "
-                f"{self.compact_goto_columns} goto cols, "
-                f"{self.compact_entries} words "
-                f"({self.compact_bytes} bytes)"
-            )
-        return text
 
 
 def measure_tables(tables: ParseTables) -> SizeReport:
     symbols = len(tables.grammar.terminals) + len(tables.grammar.nonterminals)
     packed = pack_tables(tables)
-    try:
-        compaction = compact_tables(packed).report
-    except CompactionError:
-        compaction = None
     return SizeReport(
         states=len(tables.actions),
         dense_entries=len(tables.actions) * symbols,
         sparse_entries=tables.stats.total_entries,
         packed_entries=packed.entry_count,
         packed_bytes=packed.byte_size,
-        compact_rows=compaction.unique_action_rows if compaction else 0,
-        compact_goto_columns=(
-            compaction.unique_goto_columns if compaction else 0
-        ),
-        compact_entries=compaction.compact_words if compaction else 0,
-        compact_bytes=compaction.compact_bytes if compaction else 0,
     )

@@ -44,7 +44,7 @@ by construction, and the report's exit status asserts exactly that::
 
     ggcc --trace-json trace.json file.c
     ggcc profile examples/quickstart
-    ggcc profile --json --jobs 4 --parallel process file.c
+    ggcc profile --json --jobs 4 file.c
 
 The compile server keeps constructed tables (and, with ``--jobs``, a
 persistent worker pool) warm in one long-lived process and serves
@@ -65,13 +65,6 @@ sustained worker-kill barrage next to the undisturbed warm row::
     ggcc serve --socket /tmp/ggcc.sock --workers 4 --job-timeout 30
     ggcc load-test --clients 50 --requests 4 --out BENCH_server.json
     ggcc load-test --resilience --out BENCH_server.json
-
-``match-bench`` times the matcher's three drive loops (compiled, packed,
-dict) over one program's linearized statements — the quick local check
-that the compiled engine's speedup has not regressed::
-
-    ggcc match-bench examples/quickstart
-    ggcc match-bench --engine compiled --engine packed --json file.c
 """
 
 from __future__ import annotations
@@ -82,6 +75,7 @@ from typing import List, Optional
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
 from ..compile import compile_program
+from ..matcher.engine import ENGINES
 from ..matcher.trace import Tracer, format_trace
 from ..tables.slr import construct_tables
 from ..targets import UnknownTargetError, available_targets, resolve_target
@@ -124,8 +118,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-blocking", action="store_true")
     parser.add_argument("--no-reversed-ops", action="store_true",
                         help="build the grammar without Rxxx operators")
-    parser.add_argument("--engine", choices=("compiled", "packed", "dict"),
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="matcher drive loop (default honours "
                              "$REPRO_MATCHER, then packed)")
     parser.add_argument("--peephole", action="store_true",
@@ -144,9 +137,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print collected diagnostics as JSON on stdout "
                              "(assembly then only goes to --output)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="compile functions concurrently (GG backend)")
-    parser.add_argument("--parallel", choices=("thread", "process"),
-                        default="thread", help="worker pool kind for --jobs")
+                        help="compile functions concurrently on a process "
+                             "pool (GG backend)")
     parser.add_argument("--incremental", dest="incremental",
                         action="store_true", default=None,
                         help="probe the content-addressed result cache per "
@@ -161,7 +153,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "under DIR (implies --incremental)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-function seconds before a process worker "
-                             "is declared hung (resilient process mode)")
+                             "is declared hung (--resilient with --jobs)")
     parser.add_argument("--no-rescue-bridges", action="store_true",
                         help="build the grammar without the section-6.2.2 "
                              "rescue bridge productions (blocks at runtime; "
@@ -382,8 +374,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--peephole", action="store_true")
     parser.add_argument("--no-rescue-bridges", action="store_true")
     _add_target_argument(parser)
-    parser.add_argument("--engine", choices=("compiled", "packed", "dict"),
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="matcher drive loop for the server's "
                              "generator and its pool workers")
     return parser
@@ -467,8 +458,6 @@ def build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=("gg", "pcc"), default="gg")
     _add_target_argument(parser)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--parallel", choices=("thread", "process"),
-                        default="thread")
     parser.add_argument("--resilient", action="store_true")
     parser.add_argument("--trace-json", metavar="FILE", default=None,
                         help="also write the run's Chrome trace_event "
@@ -493,8 +482,7 @@ def profile_main(argv: List[str]) -> int:
     try:
         report, _ = profile_program(
             source, label=label, backend=options.backend,
-            jobs=options.jobs, parallel=options.parallel,
-            resilient=options.resilient,
+            jobs=options.jobs, resilient=options.resilient,
             target=options.target,
             reversed_ops=not options.no_reversed_ops,
             peephole=options.peephole,
@@ -513,98 +501,6 @@ def profile_main(argv: List[str]) -> int:
             print(f"trace written to {options.trace_json} "
                   f"({len(recorder)} spans) — load it in Perfetto")
     return 0 if report.ok else 1
-
-
-def build_match_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ggcc match-bench",
-        description="time the matcher's drive loops (compiled, packed, "
-                    "dict) over one program's linearized statements and "
-                    "print tokens/sec per engine — the quick local check "
-                    "that the compiled engine's speedup has not regressed",
-    )
-    parser.add_argument("source",
-                        help="a .c file, '-' for stdin, or an example "
-                             "module exposing SOURCE (e.g. "
-                             "examples/quickstart)")
-    _add_target_argument(parser)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of repeats per engine (default 5)")
-    parser.add_argument("--engine", action="append", dest="engines",
-                        choices=("compiled", "packed", "dict"), default=None,
-                        help="bench only this engine (repeatable; "
-                             "default all three)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit results as JSON")
-    return parser
-
-
-def match_bench_main(argv: List[str]) -> int:
-    import json
-    import time
-
-    from ..frontend import compile_c
-    from ..ir.linearize import linearize
-    from ..matcher.engine import ENGINES, Matcher, SemanticActions
-    from ..obs.profile import resolve_profile_source
-
-    options = build_match_bench_parser().parse_args(argv)
-    try:
-        source, label = resolve_profile_source(options.source)
-    except (OSError, ValueError) as exc:
-        print(f"ggcc match-bench: error: {exc}", file=sys.stderr)
-        return 2
-    engines = options.engines or list(ENGINES)
-    repeats = max(1, options.repeats)
-
-    try:
-        gen = GrahamGlanvilleCodeGenerator(target=options.target)
-    except UnknownTargetError as exc:
-        print(f"ggcc match-bench: error: {exc}", file=sys.stderr)
-        return 2
-    program = compile_c(source, gen.machine)
-    streams = []
-    for name in program.order:
-        work, _ = gen.transform(program.forest(name))
-        streams.extend(linearize(tree) for tree in work.trees())
-    tokens = sum(len(stream) for stream in streams)
-    if not tokens:
-        print("ggcc match-bench: error: program has no statements",
-              file=sys.stderr)
-        return 2
-
-    rates = {}
-    for engine in engines:
-        matcher = Matcher(gen.tables, SemanticActions(), engine=engine)
-        matcher.match_tokens(streams[0])  # bind/expand outside the clock
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            for stream in streams:
-                matcher.match_tokens(stream)
-            best = min(best, time.perf_counter() - started)
-        rates[engine] = tokens / best
-
-    baseline = rates.get("packed")
-    if options.json:
-        print(json.dumps({
-            "label": label,
-            "streams": len(streams),
-            "tokens": tokens,
-            "repeats": repeats,
-            "tokens_per_sec": {
-                engine: round(rate) for engine, rate in rates.items()
-            },
-        }, indent=2))
-        return 0
-    print(f"{label}: {len(streams)} statement stream(s), {tokens} tokens, "
-          f"best of {repeats}")
-    for engine in engines:
-        line = f"  {engine:<9}{rates[engine]:>13,.0f} tokens/sec"
-        if baseline and engine != "packed":
-            line += f"  ({rates[engine] / baseline:.2f}x packed)"
-        print(line)
-    return 0
 
 
 def build_load_test_parser() -> argparse.ArgumentParser:
@@ -702,8 +598,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return serve_main(list(argv[1:]))
     if argv and argv[0] == "load-test":
         return load_test_main(list(argv[1:]))
-    if argv and argv[0] == "match-bench":
-        return match_bench_main(list(argv[1:]))
     parser = build_arg_parser()
     options = parser.parse_args(argv)
 
@@ -784,8 +678,8 @@ def _compile_main(options: argparse.Namespace, source: str) -> int:
     try:
         assembly = compile_program(
             source, options.backend, generator,
-            jobs=options.jobs, parallel=options.parallel,
-            resilient=options.resilient, timeout=options.timeout,
+            jobs=options.jobs, resilient=options.resilient,
+            timeout=options.timeout,
             incremental=options.incremental,
             result_cache_dir=options.result_cache_dir,
             target=options.target,

@@ -1,5 +1,6 @@
 """The VAX-11 target: machine model, description grammar, instruction
-table, register manager and semantic actions."""
+table and semantic actions.  The register manager is machine-independent
+and lives in :mod:`repro.targets.registers`."""
 
 from .grammar_gen import (
     VaxGrammarBundle, build_vax_grammar, conversion_productions,
@@ -10,12 +11,10 @@ from .insttable import (
     build_instruction_table, figure3_entry, select_variant,
 )
 from .machine import VAX, VaxMachine
-from .registers import RegisterManager, RegisterPressureError
 from .semantics import CodeBuffer, VaxSemanticError, VaxSemantics
 
 __all__ = [
     "VAX", "VaxMachine",
-    "RegisterManager", "RegisterPressureError",
     "build_vax_grammar", "vax_grammar_text", "conversion_productions",
     "VaxGrammarBundle",
     "INSTRUCTION_TABLE", "build_instruction_table", "figure3_entry",

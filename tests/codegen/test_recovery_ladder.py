@@ -16,8 +16,10 @@ from repro.codegen.recovery import (
 from repro.compile import compile_program
 from repro.diag import codes
 from repro.frontend.lower import compile_c
+from repro.frontend.parser import parse
 from repro.fuzz.chaos import TINY_BLOCKER
 from repro.matcher.engine import SyntacticBlock
+from repro.result_cache import ResultCache, table_fingerprint
 from repro.tables.slr import construct_tables
 
 
@@ -114,11 +116,9 @@ class TestCorruptTables:
         # caught and the dict tier takes over
         original = scratch_gen.compile
 
-        def crashing(forest, trace=None, use_packed=None, engine=None):
-            if engine == "dict" or use_packed is False:
-                return original(
-                    forest, trace=trace, use_packed=use_packed, engine=engine
-                )
+        def crashing(forest, trace=None, engine=None):
+            if engine == "dict":
+                return original(forest, trace=trace, engine=engine)
             raise RuntimeError("packed matcher exploded")
 
         monkeypatch.setattr(scratch_gen, "compile", crashing)
@@ -175,3 +175,28 @@ class TestLowerRungs:
         assert outcome.tier == "packed"
         assert not outcome.recovered
         assert outcome.diagnostics == []
+
+
+@pytest.mark.parametrize("engine", ["packed", "dict"])
+def test_healthy_compile_reports_the_generators_engine(
+    engine, vax_bundle, vax_tables
+):
+    """The first rung labels a healthy result with the engine that
+    produced it — on the ladder, in ``tiers`` and in the result-cache
+    entry a resilient incremental compile stores."""
+    gen = GrahamGlanvilleCodeGenerator(
+        bundle=vax_bundle, tables=vax_tables, engine=engine
+    )
+    source = "int g; int f(int x){ g = x + 1; return g; }"
+    outcome = compile_with_recovery(gen, compile_c(source).forest("f"))
+    assert outcome.tier == engine
+    assert not outcome.recovered
+    assert outcome.diagnostics == []
+
+    cache = ResultCache(table_fingerprint(gen), engine)
+    out = compile_program(
+        source, generator=gen, resilient=True, result_cache=cache
+    )
+    assert out.tiers == {"f": engine}
+    entry = cache.get(cache.keys_for(parse(source))["f"])
+    assert entry["tier"] == engine

@@ -1,13 +1,13 @@
-"""Lean batch payloads: the text-mode pipe format vs the object path.
+"""Lean batch payloads: the pool's text-mode pipe format vs the serial path.
 
-Process workers now ship preformatted assembly text plus compact stats
+Process workers ship preformatted assembly text plus compact stats
 (:class:`FunctionText`) instead of pickled ``CompileResult`` objects.
-``REPRO_BATCH_PAYLOAD=object`` keeps the old shape alive as the oracle:
-this suite holds the two byte-identical — program text, per-function
-stats, diagnostics content *and ordering* — across the curated
-workloads, the fuzzer's widened spec space, every checked-in fuzz
-reproducer, and the shipped golden assembly, and pins down that the
-lean shape is actually smaller on the wire.
+The serial ``jobs=1`` compile is the oracle: this suite holds the pooled
+compile byte-identical to it — program text, per-function stats,
+diagnostics content *and ordering* — across the curated workloads, the
+fuzzer's widened spec space, every checked-in fuzz reproducer, and the
+shipped golden assembly, and pins down that the lean shape is actually
+smaller on the wire than the result graph it flattens.
 """
 
 import pathlib
@@ -19,6 +19,7 @@ import pytest
 import repro.compile as compile_mod
 from repro.codegen.driver import GrahamGlanvilleCodeGenerator
 from repro.compile import FunctionText, compile_program
+from repro.frontend import compile_c
 from repro.fuzz.chaos import TINY_BLOCKER
 from repro.fuzz.driver import spec_for_case
 from repro.workloads.generator import generate_workload
@@ -66,28 +67,24 @@ def inline_worker(gg, monkeypatch):
     _install_worker(gg, monkeypatch)
 
 
-def compile_both_modes(source, gen, monkeypatch, **kwargs):
-    """The same process-pool compile under both payload shapes."""
-    outs = {}
-    for mode in ("object", "text"):
-        monkeypatch.setenv(compile_mod.ENV_BATCH_PAYLOAD, mode)
-        outs[mode] = compile_program(
-            source, generator=gen, jobs=2, parallel="process",
-            pool=InlinePool(gen), **kwargs,
-        )
-    monkeypatch.delenv(compile_mod.ENV_BATCH_PAYLOAD)
-    return outs["object"], outs["text"]
+def compile_serial_and_pooled(source, gen, **kwargs):
+    """The same unit compiled serially and through the (inline) pool."""
+    serial = compile_program(source, generator=gen, jobs=1, **kwargs)
+    pooled = compile_program(
+        source, generator=gen, jobs=2, parallel="process",
+        pool=InlinePool(gen), **kwargs,
+    )
+    return serial, pooled
 
 
-def assert_equivalent(source, gen, monkeypatch):
-    obj, text = compile_both_modes(source, gen, monkeypatch)
-    serial = compile_program(source, generator=gen, jobs=1)
-    assert text.text == obj.text == serial.text
-    pooled = len(serial.source_program.order) > 1
+def assert_equivalent(source, gen):
+    serial, pooled = compile_serial_and_pooled(source, gen)
+    assert pooled.text == serial.text
+    several = len(serial.source_program.order) > 1
     for name in serial.source_program.order:
-        lean = text.function_results[name]
-        full = obj.function_results[name]
-        if pooled:  # single-function units compile serially in-parent
+        lean = pooled.function_results[name]
+        full = serial.function_results[name]
+        if several:  # single-function units compile serially in-parent
             assert isinstance(lean, FunctionText)
         assert lean.assembly == full.assembly
         assert lean.instruction_count == full.instruction_count
@@ -100,18 +97,14 @@ def assert_equivalent(source, gen, monkeypatch):
 @pytest.mark.parametrize(
     "program", ALL_PROGRAMS, ids=[p.name for p in ALL_PROGRAMS]
 )
-def test_text_mode_matches_object_mode_on_workloads(
-    program, gg, inline_worker, monkeypatch
-):
-    assert_equivalent(program.source, gg, monkeypatch)
+def test_text_mode_matches_serial_on_workloads(program, gg, inline_worker):
+    assert_equivalent(program.source, gg)
 
 
 @pytest.mark.parametrize("case", range(4))
-def test_text_mode_matches_on_fuzz_spec_space(
-    case, gg, inline_worker, monkeypatch
-):
+def test_text_mode_matches_on_fuzz_spec_space(case, gg, inline_worker):
     source = generate_workload(spec_for_case(1982, case))
-    assert_equivalent(source, gg, monkeypatch)
+    assert_equivalent(source, gg)
 
 
 @pytest.mark.parametrize(
@@ -120,24 +113,21 @@ def test_text_mode_matches_on_fuzz_spec_space(
     if CORPUS.is_dir() else ["<empty>"],
 )
 def test_text_mode_matches_on_corpus_reproducers(
-    fingerprint, gg, inline_worker, monkeypatch
+    fingerprint, gg, inline_worker
 ):
     if fingerprint == "<empty>":
         pytest.skip("fuzz corpus is empty")
     source = (CORPUS / fingerprint / "repro.c").read_text()
-    assert_equivalent(source, gg, monkeypatch)
+    assert_equivalent(source, gg)
 
 
-def test_text_mode_reproduces_the_quickstart_golden(
-    gg, inline_worker, monkeypatch
-):
+def test_text_mode_reproduces_the_quickstart_golden(gg, inline_worker):
     import importlib.util
 
     path = _REPO / "examples" / "quickstart.py"
     spec = importlib.util.spec_from_file_location("gold_quickstart", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setenv(compile_mod.ENV_BATCH_PAYLOAD, "text")
     out = compile_program(
         module.SOURCE, generator=gg, jobs=2, parallel="process",
         pool=InlinePool(gg),
@@ -146,40 +136,40 @@ def test_text_mode_reproduces_the_quickstart_golden(
 
 
 def test_resilient_diagnostics_identical_across_modes(monkeypatch):
-    """The resilient path also ships lean results; a rescue's
-    diagnostics must come back with identical codes, functions and
-    *ordering* under either payload shape."""
+    """The resilient pool path also ships lean results; a rescue's
+    diagnostics must come back with the serial path's content — codes,
+    functions, messages, severities, context — in the same order."""
     debridged = GrahamGlanvilleCodeGenerator(
         rescue_bridges=False, cache=False
     )
     _install_worker(debridged, monkeypatch)
     source = TINY_BLOCKER + "\nint ok(int a, int b) { return a + b; }\n"
-    obj, text = compile_both_modes(
-        source, debridged, monkeypatch, resilient=True
+    serial, pooled = compile_serial_and_pooled(
+        source, debridged, resilient=True
     )
-    assert text.text == obj.text
-    assert text.tiers == obj.tiers
-    assert text.tiers["f"] == "hoist"
-    assert [
-        (d.code, d.function) for d in text.diagnostics.records()
-    ] == [
-        (d.code, d.function) for d in obj.diagnostics.records()
+    assert pooled.text == serial.text
+    assert pooled.tiers == serial.tiers
+    assert pooled.tiers["f"] == "hoist"
+    assert [d.to_dict() for d in pooled.diagnostics.records()] == [
+        d.to_dict() for d in serial.diagnostics.records()
     ]
-    assert text.diagnostics.has(compile_mod.codes.RECOVER_FORCE)
+    assert pooled.diagnostics.has(compile_mod.codes.RECOVER_FORCE)
+    for name in serial.source_program.order:
+        lean = pooled.function_results[name]
+        full = serial.function_results[name]
+        assert lean.assembly == full.assembly
+        assert lean.instruction_count == full.instruction_count
 
 
 def test_text_payload_is_smaller_on_the_wire(gg, inline_worker):
     """The point of the lean shape: the worker's return value pickles
-    far smaller than the full CompileResult graph."""
-    program_names = tuple(
-        compile_program(MULTI_SOURCE, generator=gg).function_results
-    )
+    far smaller than the full CompileResult graph it flattens."""
+    program = compile_c(MULTI_SOURCE, gg.machine)
+    names = tuple(program.order)
     lean_results, _ = compile_mod._compile_batch_in_worker(
-        (MULTI_SOURCE, program_names, "text")
+        (MULTI_SOURCE, names)
     )
-    full_results, _ = compile_mod._compile_batch_in_worker(
-        (MULTI_SOURCE, program_names, "object")
-    )
+    full_results = [gg.compile(program.forest(name)) for name in names]
     lean_bytes = len(pickle.dumps(lean_results))
     full_bytes = len(pickle.dumps(full_results))
     assert lean_bytes < full_bytes, (lean_bytes, full_bytes)
@@ -195,7 +185,7 @@ def test_function_text_keeps_timing_shape(gg, inline_worker):
     """`result.times.wall` is how cpu_seconds accounting reads worker
     results; the flat record must answer the same way."""
     results, _ = compile_mod._compile_batch_in_worker(
-        (MULTI_SOURCE, ("gcd",), "text")
+        (MULTI_SOURCE, ("gcd",))
     )
     (lean,) = results
     assert lean.times.wall == lean.seconds

@@ -22,14 +22,6 @@ def test_multi_function_unit(serial):
     assert len(serial.source_program.order) == 4
 
 
-def test_thread_pool_matches_serial(gg, serial):
-    threaded = compile_program(
-        MULTI_SOURCE, generator=gg, jobs=2, parallel="thread"
-    )
-    assert threaded.text == serial.text
-    assert list(threaded.function_results) == list(serial.function_results)
-
-
 def test_process_pool_matches_serial(serial):
     forked = compile_program(MULTI_SOURCE, jobs=2, parallel="process")
     assert forked.text == serial.text
@@ -44,8 +36,13 @@ def test_jobs_on_single_function_is_serial(gg):
 
 
 def test_unknown_parallel_mode_rejected(gg):
-    with pytest.raises(ValueError, match="parallel"):
-        compile_program(MULTI_SOURCE, generator=gg, jobs=2, parallel="fiber")
+    """The process pool is the only pool; the removed thread pool's name
+    is rejected like any other unknown mode."""
+    for mode in ("fiber", "thread"):
+        with pytest.raises(ValueError, match="parallel"):
+            compile_program(
+                MULTI_SOURCE, generator=gg, jobs=2, parallel=mode
+            )
 
 
 def test_unknown_backend_rejected():
@@ -76,13 +73,12 @@ def test_wall_vs_cpu_seconds_semantics(gg, serial):
     )
     assert serial.cpu_seconds == pytest.approx(expected)
 
-    threaded = compile_program(
-        MULTI_SOURCE, generator=gg, jobs=4, parallel="thread"
-    )
-    assert threaded.seconds > 0
-    assert threaded.cpu_seconds > 0
-    assert threaded.cpu_seconds == pytest.approx(sum(
-        r.times.wall for r in threaded.function_results.values()
+    pooled = compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+    assert pooled.text == serial.text
+    assert pooled.seconds > 0
+    assert pooled.cpu_seconds > 0
+    assert pooled.cpu_seconds == pytest.approx(sum(
+        r.times.wall for r in pooled.function_results.values()
     ))
 
 

@@ -31,14 +31,14 @@ class TestResilientHappyPath:
         assert set(resilient.tiers.values()) == {"packed"}
         assert len(resilient.diagnostics) == 0
 
-    def test_thread_pool_matches_serial(self, gg):
+    def test_process_pool_matches_serial(self, gg):
         serial = compile_program(MULTI_SOURCE, generator=gg, resilient=True)
-        threaded = compile_program(
-            MULTI_SOURCE, generator=gg, resilient=True,
-            jobs=3, parallel="thread",
+        pooled = compile_program(
+            MULTI_SOURCE, generator=gg, resilient=True, jobs=2,
         )
-        assert threaded.text == serial.text
-        assert threaded.tiers == serial.tiers
+        assert pooled.text == serial.text
+        assert pooled.tiers == serial.tiers
+        assert len(pooled.diagnostics) == 0
 
     def test_resilient_pcc_backend(self):
         assembly = compile_program(

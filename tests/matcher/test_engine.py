@@ -102,8 +102,8 @@ class TestPackedPath:
 
     def test_same_reductions_as_dict(self):
         tables = construct_tables(read_grammar(TEXT))
-        fast = Matcher(tables, use_packed=True).match_tree(simple_tree())
-        slow = Matcher(tables, use_packed=False).match_tree(simple_tree())
+        fast = Matcher(tables, engine="packed").match_tree(simple_tree())
+        slow = Matcher(tables, engine="dict").match_tree(simple_tree())
         assert [p.index for p in fast.reductions] == [
             p.index for p in slow.reductions
         ]
@@ -113,7 +113,7 @@ class TestPackedPath:
         from repro.ir import dreg
 
         matcher = Matcher(construct_tables(read_grammar(TEXT)),
-                          use_packed=True)
+                          engine="packed")
         bad = assign(name("a", L), dreg("r6", L))
         with pytest.raises(SyntacticBlock) as info:
             matcher.match_tree(bad)
@@ -123,7 +123,7 @@ class TestPackedPath:
         """Tracing needs the per-entry hooks of the dict loop; a traced
         match must still record every shift."""
         matcher = Matcher(construct_tables(read_grammar(TEXT)),
-                          use_packed=True)
+                          engine="packed")
         tracer = Tracer()
         matcher.match_tree(simple_tree(), tracer)
         assert tracer.shifts() == simple_tree().size()
@@ -141,7 +141,7 @@ class TestPackedPath:
                 return d
 
         matcher = Matcher(construct_tables(read_grammar(TEXT)), Tagging(),
-                          use_packed=True)
+                          engine="packed")
         result = matcher.match_tree(simple_tree())
         assert "Assign.l" in result.descriptor.text
 
@@ -163,7 +163,7 @@ other.l <- Const.l :: encap
         from repro.ir import Node, Op
 
         matcher = Matcher(construct_tables(grammar), Choosy(),
-                          use_packed=True)
+                          engine="packed")
         matcher.match_tree(Node(Op.EXPR, L, [const(3, L)]))
         assert calls, "expected a runtime tie"
 

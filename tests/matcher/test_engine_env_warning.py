@@ -63,3 +63,24 @@ def test_known_env_values_stay_silent(monkeypatch, capsys):
 def test_explicit_unknown_engine_still_hard_errors():
     with pytest.raises(ValueError):
         resolve_engine("turbo")
+
+
+def test_explicit_engine_wins_over_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_MATCHER", "dict")
+    assert resolve_engine("packed") == "packed"
+
+
+def test_environment_selects_the_default(monkeypatch):
+    for engine in engine_mod.ENGINES:
+        monkeypatch.setenv("REPRO_MATCHER", engine)
+        assert resolve_engine() == engine
+
+
+def test_removed_compiled_engine_warns_and_falls_back(monkeypatch, capsys):
+    """The generated-code engine is gone: its old env value takes the
+    ordinary unknown-value path, and naming it explicitly is an error."""
+    monkeypatch.setenv("REPRO_MATCHER", "compiled")
+    assert resolve_engine() == "packed"
+    assert codes.ENGINE_UNKNOWN in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        resolve_engine("compiled")

@@ -97,7 +97,7 @@ class TestReport:
 class TestViolationDetection:
     def test_negative_phase_is_flagged(self):
         report = ProfileReport(
-            source="<x>", backend="gg", jobs=1, parallel="thread",
+            source="<x>", backend="gg", jobs=1,
         )
         from repro.obs.profile import _check_invariants
 
@@ -123,7 +123,7 @@ class TestViolationDetection:
 class TestProcessPoolMerge:
     def test_worker_metrics_merge_into_report(self):
         report, assembly = profile_program(
-            SOURCE, label="<proc>", jobs=2, parallel="process",
+            SOURCE, label="<proc>", jobs=2,
         )
         assert report.ok
         # all 3 functions were counted despite compiling in child
@@ -136,8 +136,7 @@ class TestProcessPoolMerge:
     def test_worker_spans_land_on_their_own_timeline(self):
         recorder = install_recorder()
         try:
-            profile_program(SOURCE, label="<proc>", jobs=2,
-                            parallel="process")
+            profile_program(SOURCE, label="<proc>", jobs=2)
         finally:
             uninstall_recorder()
         trace = recorder.to_chrome_trace()
@@ -154,8 +153,7 @@ class TestProcessPoolMerge:
 
     def test_resilient_process_path_merges_too(self):
         report, _ = profile_program(
-            SOURCE, label="<res>", jobs=2, parallel="process",
-            resilient=True,
+            SOURCE, label="<res>", jobs=2, resilient=True,
         )
         assert report.ok
         counters = report.metrics["counters"]

@@ -20,7 +20,7 @@ import threading
 
 from repro.frontend import parse
 from repro.server import CompileClient, CompileServer
-from repro.server.result_cache import (
+from repro.result_cache import (
     RESULT_KIND, ResultCache, canonical_function_texts, result_key,
     table_fingerprint,
 )
@@ -83,9 +83,9 @@ def test_key_changes_with_engine(gg):
     text = "int f() { return 1; }"
     keys = {
         result_key(fingerprint, engine, text)
-        for engine in ("compiled", "packed", "dict")
+        for engine in ("packed", "dict")
     }
-    assert len(keys) == 3
+    assert len(keys) == 2
 
 
 def test_key_changes_with_function_source_only_for_that_function(gg):

@@ -115,7 +115,7 @@ def test_batch_request_matches_serial(running_server):
     response = client.compile_batch([
         {"source": MULTI_SOURCE},
         {"source": SMALL_SOURCE, "jobs": 1},
-        {"source": MULTI_SOURCE, "parallel": "thread"},
+        {"source": MULTI_SOURCE, "resilient": True},
     ])
     assert response["ok"]
     first, second, third = response["responses"]

@@ -1,352 +1,31 @@
-"""The compaction pass and the generated (compiled) matcher.
+"""Matcher engine selection around the packed tables.
 
-Three layers under test: :func:`compact_tables` must re-encode the
-packed tables without changing a single action decision;
-:mod:`repro.tables.compiled` must render, cache and revive generated
-programs with the same corruption discipline as the v2 table pickles;
-and the :class:`Matcher`'s compiled engine must fall back to packed
-whenever generation is unavailable.
+An engine named outright must be a registered one; a value read from
+``$REPRO_MATCHER`` that names no engine is ignored and the packed
+default runs.  The warning that accompanies an ignored value is covered
+in ``tests/matcher/test_engine_env_warning.py``.
 """
-
-import dataclasses
-import os
 
 import pytest
 
-from repro.frontend.lower import compile_c
-from repro.ir.linearize import linearize
-from repro.matcher import Matcher
-from repro.matcher.engine import (
-    ENGINES, SemanticActions, resolve_engine,
-)
-from repro.obs.metrics import REGISTRY
-from repro.tables.cache import TableCache
-from repro.tables.compiled import (
-    CACHE_KIND, CODEGEN_VERSION, compiled_matcher_for,
-    load_or_build_compiled, matchgen_fingerprint, render_matcher_source,
-    rule_frequencies,
-)
-from repro.tables.encode import (
-    COMPACT_ACCEPT, COMPACT_ERROR, TAG_ACCEPT, TAG_REDUCE, TAG_SHIFT,
-    CompactionError, compact_tables, measure_tables,
-)
+from repro.matcher import engine as engine_mod
+from repro.matcher.engine import resolve_engine
 
 
-@pytest.fixture(scope="module")
-def packed(vax_tables):
-    return vax_tables.packed()
-
-
-@pytest.fixture(scope="module")
-def compact(packed):
-    return compact_tables(packed)
-
-
-def sample_streams(gg, source="int f(int x) { return x + 1 + x * 3; }"):
-    forest, _ = gg.transform(compile_c(source).forest("f"))
-    return [linearize(tree) for tree in forest.trees()]
-
-
-class TestCompactionInvariants:
-    def test_every_action_decision_is_preserved(self, packed, compact):
-        """The compact word for (state, symbol) decodes to exactly the
-        packed lookup's decision — shift target, reduce pool, accept or
-        error — for every state and a symbol sweep including the
-        unknown-symbol slot (-1)."""
-        nsymbols = len(packed.symbol_ids)
-        symbol_ids = list(range(0, nsymbols, 5)) + [nsymbols - 1, -1]
-        for state in range(compact.nstates):
-            for symbol_id in symbol_ids:
-                tag, argument = packed.lookup_action_id(state, symbol_id)
-                word = compact.action_word(state, symbol_id)
-                if tag == TAG_SHIFT:
-                    assert word == argument << 1
-                elif tag == TAG_REDUCE:
-                    # no frequency guidance -> pool numbering is identity
-                    assert word == (argument << 1) | 1
-                elif tag == TAG_ACCEPT:
-                    assert word == COMPACT_ACCEPT
-                else:
-                    assert word == COMPACT_ERROR
-
-    def test_goto_columns_preserve_targets(self, packed, compact):
-        for state in range(compact.nstates):
-            for symbol_id, target in packed.goto_rows[state]:
-                column = compact.goto_col_of_lhs[symbol_id]
-                assert compact.goto_cols[column][state] == target
-
-    def test_identical_rows_merge(self, compact):
-        report = compact.report
-        assert report.unique_action_rows == len(compact.rows)
-        assert report.unique_action_rows < report.states
-        assert report.unique_goto_columns == len(compact.goto_cols)
-        assert max(compact.row_of_state) == len(compact.rows) - 1
-
-    def test_compaction_saves_words_over_dense(self, compact):
-        report = compact.report
-        assert report.compact_words < report.dense_words
-        assert 0.0 < report.saved_fraction < 1.0
-
-    def test_pool_metadata_matches_grammar(self, packed, compact):
-        for pool, tied in enumerate(compact.pool_tied):
-            if len(tied) == 1:
-                index = tied[0]
-                assert compact.pool_len[pool] == packed.prod_rhs_len[index]
-                assert compact.pool_prod[pool] == index
-            else:
-                # ambiguous ties take the slow path through pool_tied
-                assert compact.pool_len[pool] == 0
-                assert compact.pool_prod[pool] == -1
-
-    def test_epsilon_production_is_rejected(self, packed):
-        single = next(
-            pool for pool, tied in enumerate(packed.reduce_pool)
-            if len(tied) == 1
-        )
-        index = packed.reduce_pool[single][0]
-        rhs_len = list(packed.prod_rhs_len)
-        rhs_len[index] = 0
-        broken = dataclasses.replace(packed, prod_rhs_len=rhs_len)
-        with pytest.raises(CompactionError):
-            compact_tables(broken)
-
-    def test_frequency_guidance_changes_layout_not_decisions(self, packed):
-        frequencies = {0: 1000, 3: 50}
-        guided = compact_tables(packed, frequencies)
-        plain = compact_tables(packed)
-        assert guided.report.frequency_guided
-        assert guided.report.compact_words == plain.report.compact_words
-        nsymbols = len(packed.symbol_ids)
-        for state in range(0, guided.nstates, 17):
-            for symbol_id in range(0, nsymbols, 11):
-                tag, argument = packed.lookup_action_id(state, symbol_id)
-                word = guided.action_word(state, symbol_id)
-                if tag == TAG_SHIFT:
-                    assert word == argument << 1
-                elif tag == TAG_REDUCE:
-                    pool = word >> 1
-                    assert word & 1
-                    assert guided.pool_tied[pool] \
-                        == packed.reduce_pool[argument]
-
-    def test_measure_tables_reports_compacted_sizes(self, vax_tables):
-        size = measure_tables(vax_tables)
-        assert size.compact_rows > 0
-        assert size.compact_goto_columns > 0
-        assert size.compact_entries > 0
-        assert size.compact_bytes == size.compact_entries * 4
-        assert "compacted" in str(size)
-
-
-class TestRenderedProgram:
-    def test_source_compiles_and_validates(self, packed, compact):
-        source = render_matcher_source(compact, key="deadbeef")
-        namespace = {}
-        exec(compile(source, "<test>", "exec"), namespace)
-        assert namespace["CODEGEN_VERSION"] == CODEGEN_VERSION
-        assert namespace["NSYMBOLS"] == len(packed.symbol_ids)
-        assert namespace["NSTATES"] == compact.nstates
-        assert callable(namespace["bind"])
-        assert len(namespace["ROWS"]) == compact.nstates
-
-    def test_generated_module_has_no_imports(self, compact):
-        source = render_matcher_source(compact)
-        assert "import" not in source
-
-    def test_fingerprint_covers_frequencies_and_version(
-        self, packed, monkeypatch
-    ):
-        base = matchgen_fingerprint(packed)
-        assert base == matchgen_fingerprint(packed)
-        assert base != matchgen_fingerprint(packed, {0: 10})
-        assert matchgen_fingerprint(packed, {0: 10}) \
-            != matchgen_fingerprint(packed, {0: 11})
-        monkeypatch.setattr(
-            "repro.tables.compiled.CODEGEN_VERSION", CODEGEN_VERSION + 1
-        )
-        assert matchgen_fingerprint(packed) != base
-
-    def test_rule_frequencies_parses_counters(self):
-        class Snapshot:
-            counters = {
-                "matcher.rule.7": 21,
-                "matcher.rule.3": 4,
-                "matcher.rule.bogus": 9,
-                "matcher.packed_runs": 2,
-            }
-
-        assert rule_frequencies(Snapshot()) == {7: 21, 3: 4}
-
-
-class TestCompiledCache:
-    def test_build_then_warm_load(self, packed, tmp_path):
-        cold = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        assert not cold.from_cache
-        warm = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        assert warm.from_cache
-        assert warm.key == cold.key
-        assert warm.source == cold.source
-        assert warm.report is not None
-
-    def test_corrupt_source_is_quarantined_and_rebuilt(
-        self, packed, tmp_path
-    ):
-        built = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        store = TableCache(str(tmp_path))
-        payload = store.load(built.key, kind=CACHE_KIND)
-        payload["source"] = "def bind(:"          # no longer compiles
-        payload.pop("code", None)                 # force the compile path
-        payload.pop("magic", None)
-        assert store.store(built.key, payload, kind=CACHE_KIND)
-
-        again = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        assert not again.from_cache, "damaged entry must force a rebuild"
-        path = store.path_for(built.key, kind=CACHE_KIND)
-        assert os.path.exists(path + ".quarantined")
-        # the rebuilt entry is trusted again
-        assert load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        ).from_cache
-
-    def test_flipped_byte_is_a_checksum_miss(self, packed, tmp_path):
-        built = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        store = TableCache(str(tmp_path))
-        path = store.path_for(built.key, kind=CACHE_KIND)
-        data = bytearray(open(path, "rb").read())
-        data[len(data) // 2] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(bytes(data))
-
-        again = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        assert not again.from_cache
-        assert os.path.exists(path + ".quarantined")
-
-    def test_version_bump_changes_the_key(self, packed, tmp_path, monkeypatch):
-        built = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        monkeypatch.setattr(
-            "repro.tables.compiled.CODEGEN_VERSION", CODEGEN_VERSION + 1
-        )
-        assert matchgen_fingerprint(packed) != built.key
-
-    def test_wrong_fingerprint_payload_is_rejected(self, packed, tmp_path):
-        built = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        store = TableCache(str(tmp_path))
-        payload = store.load(built.key, kind=CACHE_KIND)
-        payload["fingerprint"] = "0" * 64
-        assert store.store(built.key, payload, kind=CACHE_KIND)
-        again = load_or_build_compiled(
-            packed, directory=str(tmp_path), enabled=True
-        )
-        assert not again.from_cache
+@pytest.fixture(autouse=True)
+def _fresh_warning_state():
+    engine_mod._WARNED_ENV_VALUES.clear()
+    yield
+    engine_mod._WARNED_ENV_VALUES.clear()
 
 
 class TestEngineSelection:
-    def test_explicit_engine_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MATCHER", "dict")
-        assert resolve_engine("compiled") == "compiled"
-        assert resolve_engine("packed", use_packed=False) == "packed"
-
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError):
             resolve_engine("jit")
-
-    def test_legacy_use_packed_still_selects(self):
-        assert resolve_engine(use_packed=True) == "packed"
-        assert resolve_engine(use_packed=False) == "dict"
-
-    def test_environment_selects_the_default(self, monkeypatch):
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_MATCHER", engine)
-            assert resolve_engine() == engine
 
     def test_misspelled_environment_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MATCHER", "turbo")
         assert resolve_engine() == "packed"
         monkeypatch.delenv("REPRO_MATCHER")
         assert resolve_engine() == "packed"
-
-
-class TestMatcherCompiledEngine:
-    def test_compiled_matches_packed_reductions(self, vax_tables, gg):
-        compiled = Matcher(vax_tables, SemanticActions(), engine="compiled")
-        packed = Matcher(vax_tables, SemanticActions(), engine="packed")
-        for stream in sample_streams(gg):
-            fast = compiled.match_tokens(stream)
-            slow = packed.match_tokens(stream)
-            assert fast.reductions == slow.reductions
-            assert fast.chain_reductions == slow.chain_reductions
-
-    def test_repeat_streams_hit_the_match_memo(self, vax_tables, gg):
-        matcher = Matcher(vax_tables, SemanticActions(), engine="compiled")
-        stream = sample_streams(gg)[0]
-        first = matcher.match_tokens(stream)
-        assert matcher._match_memo, "null-semantics match must be memoized"
-        second = matcher.match_tokens(stream)
-        assert second.reductions == first.reductions
-        # the memo hands out fresh lists, never a shared mutable one
-        assert second.reductions is not first.reductions
-
-    def test_overridden_semantics_bypass_the_memo(self, vax_tables, gg):
-        class Counting(SemanticActions):
-            calls = 0
-
-            def on_reduce(self, production, kids):
-                Counting.calls += 1
-                return super().on_reduce(production, kids)
-
-        matcher = Matcher(vax_tables, Counting(), engine="compiled")
-        stream = sample_streams(gg)[0]
-        matcher.match_tokens(stream)
-        first = Counting.calls
-        assert first > 0
-        matcher.match_tokens(stream)
-        assert Counting.calls == 2 * first, \
-            "semantic hooks must run on every match, never from a memo"
-        assert not matcher._match_memo
-
-    def test_generation_failure_falls_back_to_packed(
-        self, vax_tables, gg, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.matcher.engine.compiled_matcher_for", lambda tables: None
-        )
-        was_enabled = REGISTRY.enabled
-        held = REGISTRY.drain()
-        REGISTRY.enabled = True
-        try:
-            matcher = Matcher(
-                vax_tables, SemanticActions(), engine="compiled"
-            )
-            reference = Matcher(
-                vax_tables, SemanticActions(), engine="packed"
-            )
-            for stream in sample_streams(gg):
-                assert matcher.match_tokens(stream).reductions \
-                    == reference.match_tokens(stream).reductions
-            snapshot = REGISTRY.drain()
-        finally:
-            REGISTRY.enabled = was_enabled
-            REGISTRY.absorb(held)
-        assert snapshot.counters.get("matcher.compiled_fallbacks", 0) > 0
-        assert snapshot.counters.get("matcher.compiled_runs", 0) == 0
-
-    def test_compiled_matcher_for_is_memoized(self, vax_tables):
-        first = compiled_matcher_for(vax_tables)
-        assert first is not None
-        assert compiled_matcher_for(vax_tables) is first

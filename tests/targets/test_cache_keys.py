@@ -10,9 +10,8 @@ versions so stale single-target entries can never be confused with
 target-qualified ones).  These tests pin that property.
 """
 
-from repro.server.result_cache import result_key, table_fingerprint
+from repro.result_cache import RESULT_VERSION, result_key, table_fingerprint
 from repro.tables.cache import CACHE_VERSION, TableCache, table_cache_key
-from repro.server.result_cache import RESULT_VERSION
 
 GRAMMAR_TEXT = "byte.reg -> + byte.reg byte.reg ;"
 OPTIONS = dict(reversed_ops=True, overfactoring_fix=True,

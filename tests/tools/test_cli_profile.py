@@ -54,10 +54,7 @@ class TestProfileCommand:
         assert current_recorder() is None  # no recorder leaked
 
     def test_profile_jobs_process(self, c_file, capsys):
-        code = main([
-            "profile", c_file, "--json", "--jobs", "2",
-            "--parallel", "process",
-        ])
+        code = main(["profile", c_file, "--json", "--jobs", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True

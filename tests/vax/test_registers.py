@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir import MachineType
 from repro.matcher import DKind, Descriptor, mem, regdesc
-from repro.vax import RegisterManager, RegisterPressureError, VAX
+from repro.targets.registers import RegisterManager, RegisterPressureError
+from repro.vax import VAX
 
 L = MachineType.LONG
 Q = MachineType.QUAD

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir import MachineType
 from repro.matcher import DKind, Descriptor
-from repro.vax import VAX, RegisterManager, RegisterPressureError
+from repro.targets.registers import RegisterManager, RegisterPressureError
+from repro.vax import VAX
 
 L = MachineType.LONG
 Q = MachineType.QUAD
