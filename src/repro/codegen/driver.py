@@ -148,9 +148,10 @@ class GrahamGlanvilleCodeGenerator:
     *description*, not once per process: unless a ``bundle``/``tables``
     pair is handed in, the constructor consults the persistent table
     cache (:mod:`repro.tables.cache`) keyed on the exact grammar text and
-    options, warm-starting in milliseconds when the description is
-    unchanged.  ``cache=False`` forces a fresh build; ``cache_dir``
-    redirects the store (tests use a tmp dir).  ``engine`` selects the
+    options, warm-starting in tens of milliseconds when the description
+    is unchanged (see EXPERIMENTS.md, "Table-cache warm start").
+    ``cache=False`` forces a fresh build; ``cache_dir`` redirects the
+    store (tests use a tmp dir).  ``engine`` selects the
     matcher's drive loop (``"packed"``, the default, or the original
     ``"dict"`` loop for differential runs); ``$REPRO_MATCHER`` is
     honoured through :func:`repro.matcher.engine.resolve_engine`.
@@ -284,8 +285,8 @@ class GrahamGlanvilleCodeGenerator:
         engine (``engine="dict"``) without rebuilding the generator.
 
         With ``$REPRO_OBS_RULES`` set, every statement's reductions are
-        counted per production as ``matcher.rule.<index>`` metrics,
-        whichever engine matched them.
+        counted per production as ``matcher.rule.<target>.<index>``
+        metrics, whichever engine matched them.
         """
         times = PhaseTimes()
         if engine is None:
@@ -364,8 +365,9 @@ class GrahamGlanvilleCodeGenerator:
             METRICS.observe("compile.fn_seconds", times.wall)
             METRICS.observe("compile.matching_seconds", times.matching)
             METRICS.observe("compile.semantics_seconds", times.semantics)
+            prefix = f"{RULE_METRIC_PREFIX}{self.target.name}."
             for index, count in (rule_counts or {}).items():
-                METRICS.inc(f"{RULE_METRIC_PREFIX}{index}", count)
+                METRICS.inc(f"{prefix}{index}", count)
 
         return CompileResult(
             unit=unit, times=times, ordering=ordering_stats,

@@ -4,22 +4,23 @@ The paper repaired blocking *statically*: Graham, Henry and Schulman added
 bridge productions and default lists until the description could not block
 (section 6.2.2).  A production compiler cannot assume its description is
 perfect, so this module repairs *dynamically*: when a function blocks (or
-its tables are corrupt, or its semantics give out), `compile_with_recovery`
+its matcher crashes, or its semantics give out), `compile_with_recovery`
 walks a ladder of progressively blunter rescues and records every rung as
 a structured diagnostic — a block is never silent and never fatal to the
-rest of the program.
+rest of the program.  Every function compile goes through the ladder;
+tier 0 *is* the plain compile, so a healthy function pays nothing extra.
 
 The rungs, in order:
 
 tier 0  ``packed`` or ``dict``
-    The normal compile on the engine the generator selected.  When the
-    packed runtime fails its integrity checksum the packed rung is
-    skipped outright (GG-TABLE-CORRUPT) rather than trusted to crash.
+    The normal compile on the engine the generator selected.
 tier 1  ``dict``
     Retry on the original dict-table matcher (``engine="dict"``).
-    The dict loop shares no state with the packed arrays, so corrupt or
-    miscoded packed tables are fully rescued here (RECOVER-DICT).  A
-    generator that already runs the dict engine has no separate tier 1.
+    The dict loop shares no state with the packed arrays, so a packed
+    matcher that raised something other than a block (GG-TABLE-CORRUPT)
+    is fully rescued here (RECOVER-DICT); a genuine block blocks the
+    dict loop identically and falls through.  A generator that already
+    runs the dict engine has no separate tier 1.
 tier 2  ``hoist``
     The "deus ex machina" repair: the runtime analogue of a bridge
     production.  The subtree under the blocked lookahead token is hoisted
@@ -109,6 +110,15 @@ class LadderOutcome:
         return self.tier not in ("packed", "dict") or any(
             diag.code == codes.RECOVER_DICT for diag in self.diagnostics
         )
+
+    @property
+    def cause(self) -> Optional[Diagnostic]:
+        """The diagnostic that moved this function off the engine's own
+        tier — the ladder's first record — or None when the engine
+        compiled it unaided.  A strict compile raises on it."""
+        if self.ok and not self.recovered:
+            return None
+        return self.diagnostics[0]
 
 
 def _finish(outcome: "LadderOutcome") -> "LadderOutcome":
@@ -219,7 +229,6 @@ def compile_with_recovery(
     gen,
     forest: Forest,
     max_hoists: int = MAX_HOISTS,
-    check_integrity: bool = True,
 ) -> LadderOutcome:
     """Compile *forest*, walking the recovery ladder on failure.
 
@@ -231,30 +240,16 @@ def compile_with_recovery(
     diags: List[Diagnostic] = []
     engine0 = gen.engine
 
-    # tier 0: the normal fast compile — unless the packed runtime fails
-    # its checksum, in which case the packed engine cannot be trusted to
-    # even crash.
-    packed_trusted = True
-    if engine0 != "dict" and check_integrity:
-        runtime = gen.tables.packed().runtime()
-        if not runtime.verify_integrity():
-            packed_trusted = False
-            diags.append(Diagnostic(
-                code=codes.GG_TABLE_CORRUPT,
-                message="packed runtime tables failed their integrity "
-                        "checksum; packed tier skipped",
-                function=name,
-            ))
-
+    # tier 0: the normal fast compile.
     first_error: Optional[Exception] = None
-    if engine0 != "dict" and packed_trusted:
+    if engine0 != "dict":
         try:
             result = gen.compile(forest, engine="packed")
             return _finish(LadderOutcome(name, result, "packed", diags))
         except (MatchError, TargetSemanticError) as exc:
             first_error = exc
             diags.append(_block_diagnostic(exc, name))
-        except Exception as exc:  # corrupt tables crash in odd ways
+        except Exception as exc:  # a crash, not a block
             first_error = exc
             diags.append(Diagnostic(
                 code=codes.GG_TABLE_CORRUPT,
@@ -263,7 +258,7 @@ def compile_with_recovery(
             ))
 
     # tier 1: the dict-table matcher shares nothing with the packed
-    # arrays, so packed corruption/miscoding is fully rescued here.
+    # arrays, so a crashing packed matcher is fully rescued here.
     dict_error: Optional[Exception] = None
     try:
         result = gen.compile(forest, engine="dict")

@@ -5,6 +5,13 @@ code generator -> one assembly unit with global-data declarations ->
 (optionally) the simulator.  This is the porcelain the examples, CLI,
 benchmarks and differential tests use.
 
+Every function compiles through the recovery ladder
+(:func:`repro.codegen.recovery.compile_with_recovery`) on every path —
+serial, pool worker, parent-side recovery — whose tier 0 is the plain
+compile.  ``resilient`` chooses no pipeline: a strict compile (the
+default) contains failures exactly like a resilient one and then raises
+:class:`repro.diag.CompileError` if any function left the engine's tier.
+
 ``compile_program`` accepts ``jobs=`` to compile independent functions
 concurrently: it fans function *batches* over a
 :class:`SharedTablePool` — a process pool whose workers make the
@@ -12,9 +19,10 @@ constructed tables resident exactly once, in the pool initializer (free
 under fork, one content-addressed table-cache load otherwise), so a task
 payload is only the source text plus function names, never tables or
 generator options.  The pool itself is kept alive process-wide and
-reused across calls (``REPRO_POOL_KEEPALIVE=0`` disables), which is what
-makes repeated parallel compiles amortize their startup the way a
-long-lived driver (the benchmarks, ``ggcc serve``) needs.
+reused across calls, which is what makes repeated parallel compiles
+amortize their startup the way a long-lived driver (the benchmarks,
+``ggcc serve``) needs.  A worker that dies or hangs costs its batch a
+recompile in the parent, never the program.
 
 The reported ``seconds`` cover the *dynamic* phase only — the generator
 (the static phase: grammar plus table construction) is built before the
@@ -48,9 +56,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .codegen.driver import (
     CompileResult, GrahamGlanvilleCodeGenerator, PhaseTimes,
 )
-from .codegen.recovery import FailedFunction, compile_with_recovery
+from .codegen.recovery import (
+    FailedFunction, LadderOutcome, compile_with_recovery,
+)
 from .diag import codes
-from .diag.diagnostics import DiagnosticSink
+from .diag.diagnostics import CompileError, Diagnostic, DiagnosticSink
 from .frontend.lower import CompiledProgram, compile_c, lower_program
 from .frontend.parser import parse
 from .ir.tree import LabelDef
@@ -93,11 +103,13 @@ class ProgramAssembly:
     seconds: float = 0.0
     #: Summed per-function compile seconds (see class docstring).
     cpu_seconds: float = 0.0
-    #: Structured events from the resilient pipeline (empty otherwise).
+    #: Structured events: ladder rescues, worker containment, table
+    #: cache repairs (empty for a clean compile).
     diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
-    #: function name -> recovery-ladder tier ("packed"/"dict" when no
-    #: rescue ran — whichever engine the generator selected; "cache" for
-    #: functions answered by the incremental result cache)
+    #: function name -> recovery-ladder tier for every function of a
+    #: "gg" compile ("packed"/"dict" when no rescue ran — whichever
+    #: engine the generator selected; "cache" for functions answered by
+    #: the incremental result cache)
     tiers: Dict[str, str] = field(default_factory=dict)
     #: Incremental-mode accounting: functions answered from the result
     #: cache vs actually compiled.  Both zero when incremental is off.
@@ -253,9 +265,9 @@ def compile_program(
 
     ``incremental=True`` probes the content-addressed result cache per
     function before compiling anything ("gg" only): hits are reassembled
-    from cached assembly text, misses flow to whichever compile path
-    ``jobs``/``resilient`` select, and fresh *healthy*
-    results are stored for next time.  ``result_cache`` hands in a
+    from cached assembly text, misses flow to the serial or pool path
+    ``jobs`` selects, and fresh *healthy* results are stored for next
+    time.  ``result_cache`` hands in a
     :class:`~repro.result_cache.ResultCache` (it must match the
     generator's tables and engine); ``result_cache_dir`` persists
     entries across processes.  Passing either implies
@@ -272,15 +284,20 @@ def compile_program(
 
     ``pool`` hands in an already-warm :class:`SharedTablePool` (the
     compile server does this); the caller keeps ownership and the pool
-    survives the call.  Without one, the process path reuses a
+    survives the call unless a worker failure marks it ``broken``, when
+    the caller must replace it.  Without one, the process path reuses a
     process-wide keep-alive pool so consecutive calls skip pool startup.
 
-    ``resilient=True`` routes every function through the recovery ladder
-    (:mod:`repro.codegen.recovery`) and contains worker failures: a
-    function that blocks, crashes its worker, or (``jobs`` > 1 only)
-    exceeds the per-function ``timeout`` in seconds becomes a
-    diagnostic in ``out.diagnostics`` plus a degraded or failed entry in
-    ``function_results`` — the rest of the program still compiles.
+    Every function goes through the recovery ladder
+    (:mod:`repro.codegen.recovery`) and worker failures are always
+    contained: a function that blocks, or whose pool batch crashes its
+    worker or (``jobs`` > 1 only) outlives ``timeout`` seconds per
+    function, becomes a diagnostic in ``out.diagnostics`` plus a
+    rescued, recompiled or failed entry in ``function_results`` — the
+    rest of the program still compiles.  ``resilient`` only decides what
+    happens next: ``True`` returns the contained result, while the
+    default raises :class:`~repro.diag.CompileError` for the first
+    function a rescue rung produced or that failed outright.
     """
     if backend not in ("gg", "pcc"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -321,9 +338,13 @@ def compile_program(
 
     started = time.perf_counter()
     out = ProgramAssembly(source_program=program, backend=backend, target=tgt)
+    #: The record that makes a strict compile raise: the first function,
+    #: in source order, that left the engine's tier or failed.
+    cause: Optional[Diagnostic] = None
     with span("compile_program", cat="program", backend=backend,
               jobs=jobs):
         if backend == "gg":
+            _report_table_cache(gen, out.diagnostics)
             cache: Optional[ResultCache] = None
             keys: Dict[str, str] = {}
             pending = list(program.order)
@@ -340,24 +361,24 @@ def compile_program(
                 out.cache_misses = len(pending)
                 METRICS.inc("compile.incremental.hits", out.cache_hits)
                 METRICS.inc("compile.incremental.misses", out.cache_misses)
-            if resilient:
-                _compile_functions_resilient(
-                    gen, source, program, jobs, timeout, out, pool,
-                    names=pending,
-                )
-            elif jobs > 1 and len(pending) > 1:
-                _compile_functions_parallel(
-                    gen, source, program, jobs, out, pool, names=pending,
+            if jobs > 1 and len(pending) > 1:
+                outcomes = _compile_functions_parallel(
+                    gen, source, program, pending, jobs, timeout,
+                    out.diagnostics, pool,
                 )
             else:
-                for name in pending:
-                    out.function_results[name] = gen.compile(
-                        program.forest(name)
-                    )
+                outcomes = [
+                    compile_with_recovery(gen, program.forest(name))
+                    for name in pending
+                ]
+            for outcome in outcomes:
+                out.function_results[outcome.name] = outcome.result
+                out.tiers[outcome.name] = outcome.tier
+                out.diagnostics.extend(outcome.diagnostics)
+                cause = cause or outcome.cause
             if cache is not None and pending:
-                _store_fresh_results(cache, keys, pending, out, gen)
-            # Cache hits land first, batch results in dispatch order,
-            # serial fallbacks wherever recovery put them — normalize to
+                _store_fresh_results(cache, keys, pending, out)
+            # Cache hits land first, fresh results after — normalize to
             # source order so jobs= and incremental= never change the
             # result iteration order.
             out.function_results = {
@@ -365,31 +386,61 @@ def compile_program(
             }
         else:
             for name in program.order:
-                if resilient:
-                    try:
-                        out.function_results[name] = pcc_compile(
-                            program.forest(name)
-                        )
-                    except Exception as exc:
-                        out.diagnostics.add(
-                            codes.FN_FAILED,
-                            f"pcc backend failed: {exc!r}",
-                            function=name,
-                        )
-                        out.function_results[name] = FailedFunction(
-                            name=name,
-                            reason=f"{type(exc).__name__}: {exc}",
-                        )
-                else:
+                try:
                     out.function_results[name] = pcc_compile(
                         program.forest(name)
                     )
+                except Exception as exc:
+                    failure = out.diagnostics.add(
+                        codes.FN_FAILED,
+                        f"pcc backend failed: {exc!r}",
+                        function=name,
+                    )
+                    out.function_results[name] = FailedFunction(
+                        name=name,
+                        reason=f"{type(exc).__name__}: {exc}",
+                    )
+                    cause = cause or failure
     out.seconds = time.perf_counter() - started
     out.cpu_seconds = sum(
         _function_seconds(result)
         for result in out.function_results.values()
     )
+    check_strict(cause, resilient)
     return out
+
+
+def check_strict(cause: Optional[Diagnostic], resilient: bool) -> None:
+    """Strictness, the one check on a contained compile's result: raise
+    :class:`~repro.diag.CompileError` for *cause* — the diagnostic that
+    pushed the first function off the engine's tier — unless the caller
+    accepts rescued functions."""
+    if cause is not None and not resilient:
+        raise CompileError(cause)
+
+
+def _report_table_cache(
+    gen: GrahamGlanvilleCodeGenerator, diagnostics: DiagnosticSink
+) -> None:
+    """Surface what the generator's table-cache consultation repaired:
+    a rejected entry (CACHE-CORRUPT) or a retried store (CACHE-RETRY)."""
+    outcome = gen.cache_outcome
+    if outcome is None:
+        return
+    if outcome.corruption:
+        diagnostics.add(
+            codes.CACHE_CORRUPT,
+            f"table-cache entry rejected ({outcome.corruption}); "
+            f"cold build",
+            quarantined=outcome.quarantined,
+            key=outcome.key,
+        )
+    if outcome.store_retries:
+        diagnostics.add(
+            codes.CACHE_RETRY,
+            f"table-cache store took {outcome.store_retries + 1} attempts",
+            key=outcome.key,
+        )
 
 
 def _function_seconds(result: object) -> float:
@@ -531,35 +582,25 @@ def _store_fresh_results(
     keys: Dict[str, str],
     names: Sequence[str],
     out: ProgramAssembly,
-    gen: GrahamGlanvilleCodeGenerator,
 ) -> None:
-    """Store the functions just compiled — except anything the pipeline
-    had to touch with a diagnostic.
-
-    Tier strings cannot flag every rescue (a worker-containment
-    recovery re-runs the ladder and may still say "packed"), but every
-    ladder rescue and every worker-containment recovery leaves a
-    diagnostic attached to its function name, so "has a diagnostic" is
-    the conservative store gate: a rescued function costs a later cache
-    miss instead of ever poisoning the cache with degraded assembly.
-    """
+    """Store the functions just compiled through the one healthy-only
+    gate (:meth:`ResultCache.put_healthy`): a ladder rescue, a failure,
+    or any function a diagnostic names — a worker-containment recovery
+    included — costs a later cache miss instead of ever poisoning the
+    cache with degraded assembly."""
     flagged = {
         diag.function for diag in out.diagnostics.records() if diag.function
     }
     for name in names:
-        result = out.function_results.get(name)
-        if result is None or getattr(result, "ok", True) is False:
-            continue
-        if name in flagged:
-            METRICS.inc("compile.incremental.rescues_not_cached")
-            continue
-        cache.put(
+        result = out.function_results[name]
+        cache.put_healthy(
             keys[name],
             name,
             result.assembly,  # type: ignore[attr-defined]
+            tier=out.tiers[name],
+            diagnosed=name in flagged,
             cpu_seconds=_function_seconds(result),
             instructions=getattr(result, "instruction_count", 0),
-            tier=out.tiers.get(name, gen.engine),
         )
 
 
@@ -755,10 +796,10 @@ class SharedTablePool:
         self.shutdown()
 
 
-ENV_KEEPALIVE = "REPRO_POOL_KEEPALIVE"
 _FALSEY = {"0", "off", "false", "no"}
 
-#: The process-wide keep-alive pool (non-resilient process path only).
+#: The process-wide keep-alive pool, used by every ``compile_program``
+#: call that brings no pool of its own.
 _KEEPALIVE_POOL: Optional[SharedTablePool] = None
 
 
@@ -775,18 +816,9 @@ def _effective_width(jobs: int) -> int:
 
     Compilation is CPU-bound, so workers beyond the CPU count cannot
     add throughput — they only add fork cost, memory, and scheduler
-    churn (measurably so on small machines).  The resilient path does
-    *not* clamp: there, extra workers are blast-radius isolation, not
-    throughput.
+    churn (measurably so on small machines).
     """
     return max(1, min(jobs, available_cpus()))
-
-
-def _keepalive_enabled() -> bool:
-    value = os.environ.get(ENV_KEEPALIVE)
-    if value is None:
-        return True
-    return value.strip().lower() not in _FALSEY
 
 
 def _acquire_pool(
@@ -794,22 +826,17 @@ def _acquire_pool(
     jobs: int,
     source: str,
     program: CompiledProgram,
-) -> Tuple[SharedTablePool, bool]:
-    """A pool for *gen*: ``(pool, owned)``.
+) -> SharedTablePool:
+    """The process-wide keep-alive pool for *gen*.
 
-    With keep-alive enabled (the default) the process-wide pool is
-    created on first use and reused while the generator options, width
+    Created on first use and reused while the generator options, width
     and obs flags match — repeated parallel compiles in one process pay
-    pool startup once.  A mismatched or broken cached pool is retired
-    and replaced.  ``owned=True`` means the caller must shut it down.
+    pool startup once.  A mismatched or broken pool is retired and
+    replaced.
     """
     global _KEEPALIVE_POOL
     flags = obs_flags()
     width = _effective_width(jobs)
-    if not _keepalive_enabled():
-        return SharedTablePool(
-            width, gen, flags, program=(source, program)
-        ), True
     key = (_options_key(_generator_options(gen)), width, flags)
     pool = _KEEPALIVE_POOL
     if pool is not None and (pool.key != key or pool.broken):
@@ -819,7 +846,7 @@ def _acquire_pool(
         _KEEPALIVE_POOL = pool = SharedTablePool(
             width, gen, flags, program=(source, program)
         )
-    return pool, False
+    return pool
 
 
 def shutdown_worker_pools() -> None:
@@ -897,95 +924,133 @@ def plan_batches(
 
 
 def _compile_batch_in_worker(task: tuple) -> tuple:
-    """Process-pool body: compile one batch of functions against the
-    worker-resident generator.  Returns ``(results, obs payload)``:
-    flat :class:`FunctionText` records, and the metrics delta and spans
-    drained once per *batch*, not per function."""
+    """Process-pool body: ladder-compile one batch of functions against
+    the worker-resident generator.  Returns ``(outcomes, obs payload)``:
+    one :class:`LadderOutcome` per function — tier and diagnostics
+    beside a flat :class:`FunctionText` — and the metrics delta and
+    spans drained once per *batch*, not per function."""
     source, names = task
     program, generator = _worker_program(source)
-    results = [
-        _function_text(name, generator.compile(program.forest(name)))
-        for name in names
-    ]
-    return results, worker_obs_drain(_WORKER_FLAGS)
+    outcomes = []
+    for name in names:
+        _chaos_hooks(name)
+        outcome = compile_with_recovery(generator, program.forest(name))
+        if isinstance(outcome.result, CompileResult):
+            outcome.result = _function_text(name, outcome.result)
+        outcomes.append(outcome)
+    return outcomes, worker_obs_drain(_WORKER_FLAGS)
 
 
 def _compile_functions_parallel(
     gen: GrahamGlanvilleCodeGenerator,
     source: str,
     program: CompiledProgram,
+    names: List[str],
     jobs: int,
-    out: ProgramAssembly,
+    timeout: Optional[float],
+    diagnostics: DiagnosticSink,
     pool: Optional[SharedTablePool] = None,
-    names: Optional[List[str]] = None,
-) -> None:
-    """Fan *names* (default: the whole program) over a process pool.
+) -> List[LadderOutcome]:
+    """Fan *names* over a process pool; one outcome per name, in order.
 
     Workers receive weight-balanced *batches* of function names; their
     generator was made resident by the pool initializer, so nothing
     static rides on the tasks.
 
-    A pool whose initializer fails (cache miss plus builder raise
-    inside the worker) breaks every pending future.  That surfaces here
-    as one WORKER-INIT diagnostic and a serial fallback in the parent —
-    functions are never silently dropped and the call never hangs.
+    Worker failures are contained per batch, and a batch that is lost
+    is recompiled through the ladder in the parent:
+
+    * a batch future that raises — a dead worker or a failed
+      initializer breaks the pool (``BrokenProcessPool``) — gives
+      WORKER-CRASH;
+    * a batch still running after ``timeout`` seconds per function
+      gives WORKER-TIMEOUT, and the workers are terminated.
+
+    Either way the pool is marked broken: a batch that had already
+    finished keeps its worker's result, and every other unread batch is
+    lost with the pool under the same code.  The pool is shut down and
+    its owner (:func:`_acquire_pool`, the compile server) replaces it.
+    A dispatch that raises retires the pool the same way before the
+    exception propagates, so it can never leak worker processes.
     """
-    if names is None:
-        names = list(program.order)
     if pool is not None:
         if pool.options_key != _options_key(_generator_options(gen)):
             raise ValueError(
                 "pool was created for different generator options"
             )
-        owned = False
     else:
-        pool, owned = _acquire_pool(gen, jobs, source, program)
+        pool = _acquire_pool(gen, jobs, source, program)
     batches = plan_batches(program, names, pool.jobs)
+    outcomes: Dict[str, LadderOutcome] = {}
+    lost: List[str] = []
     payloads: List[object] = []
+    # the code every unfinished batch is lost under once the pool broke
+    broke_with = codes.WORKER_CRASH
+
+    def lose(batch: tuple, code: str, why: str, **context) -> None:
+        for name in batch:
+            diagnostics.add(
+                code, f"{why}; recovering the batch in the parent",
+                function=name, **context,
+            )
+        lost.extend(batch)
+
     try:
-        futures = [
-            pool.submit(_compile_batch_in_worker, (source, batch))
-            for batch in batches
-        ]
-        METRICS.inc("pool.batches", len(batches))
         try:
-            for batch, future in zip(batches, futures):
-                results, payload = future.result()
-                payloads.append(payload)
-                out.function_results.update(zip(batch, results))
-        finally:
+            futures = [
+                pool.submit(_compile_batch_in_worker, (source, batch))
+                for batch in batches
+            ]
+        except BrokenProcessPool:  # its workers died while idle
+            pool.broken = True
+            METRICS.inc("pool.failures")
+            futures = [None] * len(batches)
+        METRICS.inc("pool.batches", len(batches))
+        for batch, future in zip(batches, futures):
+            if pool.broken and not _finished(future):
+                lose(batch, broke_with, "the pool broke before it finished")
+                continue
+            limit = None if timeout is None else timeout * len(batch)
+            try:
+                batch_outcomes, payload = future.result(timeout=limit)
+            except FutureTimeoutError:
+                broke_with = codes.WORKER_TIMEOUT
+                lose(
+                    batch, broke_with,
+                    f"worker exceeded the {timeout:.3g}s per-function "
+                    f"timeout on a batch of {len(batch)}",
+                    timeout_seconds=timeout,
+                )
+                pool.terminate_workers()
+                continue
+            except Exception as exc:
+                pool.broken = True
+                METRICS.inc("pool.failures")
+                lose(batch, codes.WORKER_CRASH,
+                     f"a process-pool batch failed ({exc!r})")
+                continue
             # Merging spans/metrics is parent-side bookkeeping; doing it
             # inline per future sits between one worker finishing and
             # the next result being consumed.  Drain it after the last
             # batch lands instead.
-            absorb_worker_obs_many(payloads)
-            payloads = []
-    except BrokenProcessPool:
+            payloads.append(payload)
+            outcomes.update(zip(batch, batch_outcomes))
+    except BaseException:
         pool.broken = True
-        out.diagnostics.add(
-            codes.WORKER_INIT,
-            "the process pool broke before all batches completed "
-            "(initializer failure or worker death); compiling the "
-            "remaining functions serially in the parent",
-        )
-        METRICS.inc("pool.init.failures")
-        for name in names:
-            if name not in out.function_results:
-                out.function_results[name] = gen.compile(
-                    program.forest(name)
-                )
+        raise
     finally:
-        if owned:
-            pool.shutdown()
-    # Batches complete in dispatch order, but the serial fallback can
-    # interleave — normalize to source order so jobs= never changes the
-    # result iteration order.  Cache hits served before dispatch (the
-    # incremental path) are already present and must survive, hence the
-    # membership filter rather than a rebuild from *names*.
-    out.function_results = {
-        name: out.function_results[name]
-        for name in program.order if name in out.function_results
-    }
+        absorb_worker_obs_many(payloads)
+        if pool.broken:
+            pool.shutdown(wait=False, cancel_futures=True)
+    for name in lost:
+        outcomes[name] = compile_with_recovery(gen, program.forest(name))
+    return [outcomes[name] for name in names]
+
+
+def _finished(future) -> bool:
+    """Whether a batch *future* already holds its worker's result."""
+    return (future is not None and future.done()
+            and future.exception() is None)
 
 
 # --------------------------------------------------------------- resilience
@@ -996,6 +1061,8 @@ def _chaos_hooks(name: str) -> None:
     function (``os._exit``, no cleanup — exactly what a segfault looks
     like to the pool).  ``REPRO_CHAOS_HANG_FN=f:5`` sleeps the listed
     functions for the given seconds (default 30) to trip the timeout.
+    Workers read the environment they were forked with, so a harness
+    that sets either variable must retire the keep-alive pool first.
     """
     kill = os.environ.get("REPRO_CHAOS_KILL_FN", "")
     if kill and name in kill.split(","):
@@ -1005,159 +1072,6 @@ def _chaos_hooks(name: str) -> None:
         spec, _, seconds = hang.partition(":")
         if name in spec.split(","):
             time.sleep(float(seconds) if seconds else 30.0)
-
-
-def _compile_function_resilient_worker(task: tuple):
-    """Process-pool body for the resilient path.
-
-    One function per task — unlike the fast path's batches, containment
-    wants per-function granularity: a timeout, kill or crash then costs
-    exactly one function's recovery in the parent.  State comes from the
-    pool initializer, so the payload is only ``(source, name)``.
-    Returns ``(tier, result, diagnostics, obs payload)`` — all plain
-    picklable values; a healthy ladder result is flattened to
-    :class:`FunctionText` like the fast path's batches (rescue results —
-    PCC degrades, stubs — are already compact).
-    """
-    source, name = task
-    _chaos_hooks(name)
-    program, generator = _worker_program(source)
-    outcome = compile_with_recovery(generator, program.forest(name))
-    result = outcome.result
-    if isinstance(result, CompileResult):
-        result = _function_text(name, result)
-    return (
-        outcome.tier, result, outcome.diagnostics,
-        worker_obs_drain(_WORKER_FLAGS),
-    )
-
-
-def _ladder_in_parent(
-    gen: GrahamGlanvilleCodeGenerator,
-    program: CompiledProgram,
-    name: str,
-    out: ProgramAssembly,
-) -> None:
-    """Ladder-compile *name* in this process: the serial path, or the
-    pool path's recovery for a function whose worker was lost."""
-    outcome = compile_with_recovery(gen, program.forest(name))
-    out.function_results[name] = outcome.result
-    out.tiers[name] = outcome.tier
-    out.diagnostics.extend(outcome.diagnostics)
-
-
-def _compile_functions_resilient(
-    gen: GrahamGlanvilleCodeGenerator,
-    source: str,
-    program: CompiledProgram,
-    jobs: int,
-    timeout: Optional[float],
-    out: ProgramAssembly,
-    pool: Optional[SharedTablePool] = None,
-    names: Optional[List[str]] = None,
-) -> None:
-    """The contained fan-out: one bad function never kills the program.
-
-    Serial mode (``jobs`` <= 1 or a single function) runs the recovery
-    ladder in-process, where ``timeout`` does not apply.  The process
-    pool additionally survives hung workers (per-function
-    ``timeout`` -> WORKER-TIMEOUT, function recovered in the parent),
-    dead workers (BrokenProcessPool -> WORKER-CRASH, every unfinished
-    function recovered serially in the parent) and initializer failures
-    (the pool breaks before any result; same containment).  The pool is
-    created and torn down inside one ``try``/``finally`` so an early
-    raise can never leak worker processes; resilient mode deliberately
-    does not reuse the keep-alive pool — containment may have to
-    terminate workers, which poisons a pool for later callers.
-    """
-    cache_outcome = gen.cache_outcome
-    if cache_outcome is not None:
-        if cache_outcome.corruption:
-            out.diagnostics.add(
-                codes.CACHE_CORRUPT,
-                f"table-cache entry rejected ({cache_outcome.corruption}); "
-                f"cold build",
-                quarantined=cache_outcome.quarantined,
-                key=cache_outcome.key,
-            )
-        if cache_outcome.store_retries:
-            out.diagnostics.add(
-                codes.CACHE_RETRY,
-                f"table-cache store took "
-                f"{cache_outcome.store_retries + 1} attempts",
-                key=cache_outcome.key,
-            )
-
-    if names is None:
-        names = list(program.order)
-
-    if jobs <= 1 or len(names) <= 1:
-        for name in names:
-            _ladder_in_parent(gen, program, name, out)
-        return
-
-    hung = False
-    owned = pool is None
-    payloads: List[object] = []
-    try:
-        if owned:
-            pool = SharedTablePool(jobs, gen, program=(source, program))
-        futures = {
-            name: pool.submit(
-                _compile_function_resilient_worker, (source, name)
-            )
-            for name in names
-        }
-        pool_broken = False
-        for name in names:
-            if pool_broken:
-                _ladder_in_parent(gen, program, name, out)
-                continue
-            try:
-                tier, result, diags, payload = \
-                    futures[name].result(timeout=timeout)
-                payloads.append(payload)
-                out.function_results[name] = result
-                out.tiers[name] = tier
-                out.diagnostics.extend(diags)
-            except FutureTimeoutError:
-                hung = True
-                out.diagnostics.add(
-                    codes.WORKER_TIMEOUT,
-                    f"worker exceeded the {timeout:.3g}s per-function "
-                    f"timeout; recovering in parent",
-                    function=name,
-                    timeout_seconds=timeout,
-                )
-                _ladder_in_parent(gen, program, name, out)
-            except BrokenProcessPool:
-                pool_broken = True
-                pool.broken = True
-                out.diagnostics.add(
-                    codes.WORKER_CRASH,
-                    "a process-pool worker died (crash or initializer "
-                    "failure); unfinished functions recompiled serially "
-                    "in the parent",
-                    function=name,
-                )
-                _ladder_in_parent(gen, program, name, out)
-            except Exception as exc:
-                out.diagnostics.add(
-                    codes.WORKER_CRASH,
-                    f"worker raised {exc!r}; recovering in parent",
-                    function=name,
-                )
-                _ladder_in_parent(gen, program, name, out)
-    finally:
-        # Same deferral as the fast path: fold worker obs after the
-        # last result, never between two futures.
-        absorb_worker_obs_many(payloads)
-        if pool is not None:
-            if hung:
-                # a hung worker would block the executor's join forever
-                pool.terminate_workers()
-            if owned or hung or pool.broken:
-                pool.shutdown(wait=not hung, cancel_futures=True)
 
 
 def run_program(

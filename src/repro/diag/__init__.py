@@ -6,10 +6,11 @@ See :mod:`repro.diag.codes` for the stable code registry and
 
 from . import codes
 from .codes import ERROR, NOTE, WARNING, describe, default_severity
-from .diagnostics import Diagnostic, DiagnosticSink
+from .diagnostics import CompileError, Diagnostic, DiagnosticSink
 
 __all__ = [
     "codes",
+    "CompileError",
     "Diagnostic",
     "DiagnosticSink",
     "ERROR",

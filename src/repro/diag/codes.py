@@ -8,7 +8,7 @@ text.  Codes are grouped by prefix:
 ``GG-*``
     pattern-matcher failures, mirroring the paper's blocking taxonomy
     (section 6.2.2): syntactic blocks, semantic blocks, reduction loops,
-    corrupted packed tables.
+    and a packed matcher that crashed outright.
 ``RECOVER-*``
     one entry per rung of the runtime recovery ladder, the dynamic
     analogue of the paper's static bridge-production and default-list
@@ -60,7 +60,6 @@ CACHE_RETRY = "CACHE-RETRY"
 # ------------------------------------------------------------- drivers
 WORKER_TIMEOUT = "WORKER-TIMEOUT"
 WORKER_CRASH = "WORKER-CRASH"
-WORKER_INIT = "WORKER-INIT"
 FN_FAILED = "FN-FAILED"
 FRONTEND_ERROR = "FRONTEND-ERROR"
 ENGINE_UNKNOWN = "ENGINE-UNKNOWN"
@@ -95,7 +94,8 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
     ),
     GG_TABLE_CORRUPT: (
         ERROR,
-        "packed runtime tables failed their integrity checksum",
+        "the packed matcher raised something other than a block; the "
+        "function was retried on the dict-table matcher",
     ),
     RECOVER_DICT: (
         NOTE,
@@ -120,17 +120,16 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
     ),
     WORKER_TIMEOUT: (
         ERROR,
-        "a parallel compile worker exceeded the per-function timeout",
+        "a process-pool batch outlived its timeout (the per-function "
+        "timeout times its function count); the workers were stopped "
+        "and the batch, with every other unfinished one, recompiled in "
+        "the parent",
     ),
     WORKER_CRASH: (
         ERROR,
-        "a parallel compile worker died; remaining functions were "
-        "recompiled serially",
-    ),
-    WORKER_INIT: (
-        ERROR,
-        "the worker-pool initializer failed (table load or build); the "
-        "program was compiled serially in the parent",
+        "a process-pool worker died (a crash, or a failed initializer) "
+        "or a batch raised; the batch, with every other unfinished one, "
+        "was recompiled in the parent",
     ),
     FN_FAILED: (
         ERROR,

@@ -71,6 +71,22 @@ class Diagnostic:
         return line
 
 
+class CompileError(Exception):
+    """A strict compile found a function the engine could not compile
+    on its own.
+
+    ``compile_program`` always contains failures; without
+    ``resilient=True`` it then raises this for the first function (in
+    source order) that a recovery rung rescued or that failed.
+    ``diagnostic`` is the record that pushed that function off the
+    engine's tier, and the message is ``CODE: message``.
+    """
+
+    def __init__(self, diagnostic: Diagnostic) -> None:
+        super().__init__(f"{diagnostic.code}: {diagnostic.message}")
+        self.diagnostic = diagnostic
+
+
 class DiagnosticSink:
     """Thread-safe collector for one compilation's diagnostics.
 

@@ -13,9 +13,13 @@ workers — and asserts the resilience invariant of the recovery ladder:
 Scenarios
 ---------
 ``table-corrupt``
-    Flip words in the live packed runtime matrices.  The integrity
-    checksum (GG-TABLE-CORRUPT) or a crash must push the function to the
-    dict-table tier; output must still match the interpreter.
+    Flip words in the packed action rows stored inside a table-cache
+    entry, leaving the entry's digest as it was — the tables a fresh
+    generator would load, rotted in place.  The live runtime is
+    immutable, so this is where table corruption can really happen.
+    The envelope's sha256 must refuse the entry before a single word is
+    trusted (CACHE-CORRUPT) and the generator must cold-build; output
+    must still match the interpreter.
 ``cache-corrupt``
     Truncate or byte-flip the persistent table-cache entry.  The
     checksummed envelope must quarantine it and cold-build
@@ -28,7 +32,7 @@ Scenarios
     still match.
 ``worker-kill`` / ``worker-hang``
     Kill or hang one process-pool worker via the ``REPRO_CHAOS_*`` env
-    hooks.  The rest of the program must compile, the lost function must
+    hooks.  The rest of the program must compile, the lost batch must
     be recovered in the parent (WORKER-CRASH / WORKER-TIMEOUT), and
     output must still match.
 """
@@ -40,11 +44,12 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
-from ..compile import ProgramAssembly, compile_program
+from ..compile import ProgramAssembly, compile_program, shutdown_worker_pools
 from ..frontend.lower import compile_c
+from ..tables.cache import rewrite_payload
 from .oracle import _observe_interp, _sign32, default_calls
 
 #: The smallest known program that blocks a de-bridged grammar: the
@@ -251,31 +256,44 @@ def _judge(
 
 # ------------------------------------------------------------- scenarios
 def _run_table_corrupt(source: str, rng: random.Random) -> ProgramAssembly:
-    gen = GrahamGlanvilleCodeGenerator(cache=False)
-    runtime = gen.tables.packed().runtime()
-    for _ in range(rng.randint(1, 12)):
-        index = rng.randrange(len(runtime.action_words))
-        runtime.action_words[index] = rng.randrange(-1, 1 << 12)
-    return compile_program(source, generator=gen, resilient=True)
+    def rot(payload: Any) -> Any:
+        """Flip argument words of the packed action rows in a stored
+        ``(bundle, tables)`` payload."""
+        rows = [row for row in payload[1].packed().action_rows if row]
+        for _ in range(rng.randint(1, 12)):
+            row = rows[rng.randrange(len(rows))]
+            index = rng.randrange(len(row))
+            symbol, tag, argument = row[index]
+            row[index] = (symbol, tag, argument ^ rng.randrange(1, 1 << 12))
+        return payload
+
+    return _from_damaged_cache(source, lambda path: rewrite_payload(path, rot))
 
 
 def _run_cache_corrupt(source: str, rng: random.Random) -> ProgramAssembly:
+    def damage(path: str) -> None:
+        if rng.random() < 0.5:
+            with open(path, "r+b") as handle:
+                handle.truncate(rng.randrange(1, 64))
+        else:
+            data = bytearray(open(path, "rb").read())
+            data[rng.randrange(len(data) // 2, len(data))] ^= 0xFF
+            with open(path, "wb") as handle:
+                handle.write(bytes(data))
+
+    return _from_damaged_cache(source, damage)
+
+
+def _from_damaged_cache(
+    source: str, damage: Callable[[str], None]
+) -> ProgramAssembly:
+    """Compile *source* with a generator loading from a fresh table
+    cache whose every entry was passed through *damage*."""
     with tempfile.TemporaryDirectory() as directory:
         GrahamGlanvilleCodeGenerator(cache=True, cache_dir=directory)
-        entries = [
-            os.path.join(directory, entry)
-            for entry in os.listdir(directory)
-            if entry.endswith(".pickle")
-        ]
-        for path in entries:
-            if rng.random() < 0.5:
-                with open(path, "r+b") as handle:
-                    handle.truncate(rng.randrange(1, 64))
-            else:
-                data = bytearray(open(path, "rb").read())
-                data[rng.randrange(len(data) // 2, len(data))] ^= 0xFF
-                with open(path, "wb") as handle:
-                    handle.write(bytes(data))
+        for entry in os.listdir(directory):
+            if entry.endswith(".pickle"):
+                damage(os.path.join(directory, entry))
         gen = GrahamGlanvilleCodeGenerator(cache=True, cache_dir=directory)
         return compile_program(source, generator=gen, resilient=True)
 
@@ -293,8 +311,15 @@ def _pick_victim(source: str, rng: random.Random) -> str:
 def _run_with_env(
     source: str, variable: str, value: str, timeout: Optional[float]
 ) -> ProgramAssembly:
+    """Compile on the process pool with a chaos variable set.
+
+    Pool workers read the environment they were forked with, so the
+    keep-alive pool is retired twice: once after arming the variable
+    (or an earlier pool would never see the fault) and once after
+    restoring it (or later compiles would run in armed workers)."""
     saved = os.environ.get(variable)
     os.environ[variable] = value
+    shutdown_worker_pools()
     try:
         return compile_program(
             source, resilient=True, jobs=2, parallel="process",
@@ -305,6 +330,7 @@ def _run_with_env(
             del os.environ[variable]
         else:
             os.environ[variable] = saved
+        shutdown_worker_pools()
 
 
 def _run_worker_kill(source: str, rng: random.Random) -> ProgramAssembly:

@@ -58,8 +58,8 @@ ENGINES = ("packed", "dict")
 ENV_ENGINE = "REPRO_MATCHER"
 
 #: When truthy, the code generator records per-production reduce counts
-#: as ``matcher.rule.<index>`` metrics, whatever the engine — the
-#: grammar-coverage profile that :func:`rule_frequencies` drains.
+#: as ``matcher.rule.<target>.<index>`` metrics, whatever the engine —
+#: the grammar-coverage profile that :func:`rule_frequencies` reads.
 ENV_RULE_OBS = "REPRO_OBS_RULES"
 
 #: Counter-name prefix of those per-production reduce counts.
@@ -128,23 +128,28 @@ def rule_observation_enabled() -> bool:
     return os.environ.get(ENV_RULE_OBS, "").strip().lower() not in _FALSEY
 
 
-def rule_frequencies(snapshot: Optional[Any] = None) -> Dict[int, int]:
-    """Production-index -> reduce-count histogram from the obs registry.
+def rule_frequencies(
+    snapshot: Optional[Any] = None, *, target: str
+) -> Dict[int, int]:
+    """Production-index -> reduce-count histogram for one *target*.
 
-    The code generator records ``matcher.rule.<index>`` counters when
-    ``REPRO_OBS_RULES`` is set (e.g. while replaying the fuzz corpus);
-    this drains them into one mapping.  Pass a :class:`MetricsSnapshot`
-    to read a saved profile instead of the live registry.
+    The code generator records ``matcher.rule.<target>.<index>``
+    counters when ``REPRO_OBS_RULES`` is set (e.g. while replaying the
+    fuzz corpus); this reads *target*'s into one mapping, so a process
+    that compiled several targets never merges their grammars' indices.
+    It reads the live registry without draining it; pass a
+    :class:`MetricsSnapshot` to read a saved profile instead.
     """
     counters = (
         snapshot.counters if snapshot is not None
         else METRICS.snapshot().counters
     )
+    prefix = f"{RULE_METRIC_PREFIX}{target}."
     frequencies: Dict[int, int] = {}
     for name, value in counters.items():
-        if name.startswith(RULE_METRIC_PREFIX):
+        if name.startswith(prefix):
             try:
-                frequencies[int(name[len(RULE_METRIC_PREFIX):])] = value
+                frequencies[int(name[len(prefix):])] = value
             except ValueError:
                 continue
     return frequencies

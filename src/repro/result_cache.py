@@ -21,13 +21,14 @@ the function's emitted assembly text plus compact stats (instruction
 count, the compile seconds it saved — which keeps ``cpu_seconds``
 accounting honest — and the recovery-ladder tier that produced it).
 
-Entries written by a recovery-ladder *rescue* are flagged
-``rescued=True``: a degraded assembly (operand hoisting, PCC fallback)
-is a valid answer for the compile that produced it but must never be
-served to a later *healthy* compile of the same source.  Producers are
-expected not to store rescued results at all; the flag is the
-defense-in-depth for entries written by older code or other processes,
-and :func:`entry_healthy` is the probe-side check.
+A recovery-ladder *rescue* (operand hoisting, PCC fallback) is a valid
+answer for the compile that produced it but must never be served to a
+later *healthy* compile of the same source.  Every writer therefore
+stores through one gate, :meth:`ResultCache.put_healthy`, which refuses
+any function the engine did not compile on its own.  Entries flagged
+``rescued=True`` are the defense-in-depth for entries written by older
+code or other processes, and :func:`entry_healthy` is the probe-side
+check.
 
 Function identity is the *canonical* source — the unparser's rendering
 of the parsed AST, prefixed by the unit's global declarations (globals
@@ -251,6 +252,32 @@ class ResultCache:
         self.stores += 1
         METRICS.inc("server.result_cache.stores")
         return entry
+
+    def put_healthy(
+        self,
+        key: str,
+        function: str,
+        assembly: str,
+        tier: str,
+        diagnosed: bool = False,
+        cpu_seconds: float = 0.0,
+        instructions: int = 0,
+    ) -> None:
+        """The one store gate every result-cache writer goes through.
+
+        Stores *function* only when the cache's own engine compiled it
+        unaided: a ladder tier other than :attr:`engine` (a rescue, a
+        PCC degrade, a failure) or any diagnostic naming the function
+        (*diagnosed*) refuses the store, so a later healthy compile pays
+        a miss instead of ever being served degraded assembly.
+        """
+        if tier != self.engine or diagnosed:
+            METRICS.inc("result_cache.rescues_not_cached")
+            return
+        self.put(
+            key, function, assembly, cpu_seconds=cpu_seconds,
+            instructions=instructions, tier=tier,
+        )
 
     # ------------------------------------------------------------ stats
     def __len__(self) -> int:

@@ -91,8 +91,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
 from ..compile import (
-    ProgramAssembly, SharedTablePool, _effective_width, _function_seconds,
-    compile_program,
+    ProgramAssembly, SharedTablePool, _effective_width, compile_program,
 )
 from ..diag import codes
 from ..diag.diagnostics import Diagnostic
@@ -106,7 +105,7 @@ from .protocol import (
 from ..result_cache import ResultCache, table_fingerprint
 from .supervisor import (
     CircuitBreaker, DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES, JobOutcome,
-    WorkerSupervisor,
+    WorkerSupervisor, _function_records, compile_misses,
 )
 
 #: Admission-queue capacity when the caller doesn't choose one.  Large
@@ -787,8 +786,7 @@ class CompileServer:
             return {"response": _error(
                 "bad-request", "compile needs 'source' text"
             )}
-        resilient = bool(request.get("resilient", False))
-        use_cache = self.result_cache is not None and not resilient
+        use_cache = self.result_cache is not None
         probe: Dict[str, Any] = {
             "use_cache": use_cache, "started": time.perf_counter(),
             "misses": None,
@@ -818,12 +816,9 @@ class CompileServer:
                 program = lower_program(ast, self.generator.machine)
                 if not misses:
                     # Every function warm: answer without a worker.
-                    response = self._assembled_cached_response(
-                        program, entries, hits=len(program.order),
-                        misses=0, cpu_seconds=0.0,
-                        started=probe["started"], diagnostics=[],
+                    response = self._partial_response(
+                        program, keys, entries, {}, probe["started"], [],
                     )
-                    self.functions_compiled += len(program.order)
                     response["metrics"] = REGISTRY.drain().to_dict()
                     return {"response": response}
                 probe.update(
@@ -894,32 +889,17 @@ class CompileServer:
             names = response.get("functions", [])
             if response.get("ok"):
                 self.functions_compiled += len(names)
-                if probe["use_cache"] and outcome.functions:
-                    self._populate_supervised_cache(
-                        request, outcome.functions
-                    )
+            if probe["use_cache"] and outcome.functions:
+                self._populate_supervised_cache(request, outcome.functions)
             if probe["use_cache"]:
                 response["result_cache"] = {
                     "hits": 0, "misses": len(names),
                 }
         else:
             # Partial cache hit: worker compiled just the misses.
-            program = probe["program"]
-            keys = probe["keys"]
-            entries = dict(probe["entries"])
-            cpu_seconds = 0.0
-            for name, info in outcome.functions.items():
-                cpu_seconds += info["cpu_seconds"]
-                entries[name] = self.result_cache.put(
-                    keys[name], name, info["assembly"],
-                    info["cpu_seconds"],
-                )
-            self.functions_compiled += len(program.order)
-            response = self._assembled_cached_response(
-                program, entries,
-                hits=len(program.order) - len(outcome.functions),
-                misses=len(outcome.functions), cpu_seconds=cpu_seconds,
-                started=probe["started"], diagnostics=crash_diags,
+            response = self._partial_response(
+                probe["program"], probe["keys"], probe["entries"],
+                outcome.functions, probe["started"], crash_diags,
             )
 
         merged = probe.get("metrics") or MetricsSnapshot()
@@ -929,33 +909,59 @@ class CompileServer:
         response["metrics"] = merged.to_dict()
         return response
 
-    def _assembled_cached_response(
+    def _partial_response(
         self,
         program: Any,
+        keys: Dict[str, str],
         entries: Dict[str, Dict[str, Any]],
-        hits: int,
-        misses: int,
-        cpu_seconds: float,
+        records: Dict[str, Dict[str, Any]],
         started: float,
         diagnostics: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
+        """The response for a unit served (partly) from the result
+        cache: cached texts for the hits, the fresh per-function
+        *records* (:func:`~repro.server.supervisor._record`) for
+        the misses, each stored through the healthy-only gate."""
+        texts = {name: entry["assembly"] for name, entry in entries.items()}
+        tiers = dict.fromkeys(entries, "cache")
+        cpu_seconds = 0.0
+        for name, info in records.items():
+            texts[name] = info["assembly"]
+            tiers[name] = info["tier"]
+            diagnostics.extend(info["diagnostics"])
+            cpu_seconds += info["cpu_seconds"]
+            self._store(keys[name], name, info)
+        self.functions_compiled += len(program.order)
         data_section = ProgramAssembly(source_program=program).data_section()
-        text = "\n".join(
-            [data_section]
-            + [entries[name]["assembly"] for name in program.order]
-        )
+        failed = [name for name in program.order if tiers[name] == "failed"]
         return {
-            "ok": True,
+            "ok": not failed,
             "op": "compile",
-            "assembly": text,
+            "assembly": "\n".join(
+                [data_section] + [texts[name] for name in program.order]
+            ),
             "functions": list(program.order),
-            "failed": [],
-            "tiers": {},
+            "failed": failed,
+            "tiers": {name: tiers[name] for name in program.order},
             "seconds": time.perf_counter() - started,
             "cpu_seconds": cpu_seconds,
             "diagnostics": diagnostics,
-            "result_cache": {"hits": hits, "misses": misses},
+            "result_cache": {
+                "hits": len(entries), "misses": len(records),
+            },
         }
+
+    def _store(self, key: str, name: str, info: Dict[str, Any]) -> None:
+        """Store one fresh function through the result cache's one
+        healthy-only gate; *info* is its ``assembly``/``cpu_seconds``/
+        ``instructions``/``tier``/``diagnostics`` record."""
+        self.result_cache.put_healthy(
+            key, name, info["assembly"],
+            tier=info["tier"],
+            diagnosed=bool(info["diagnostics"]),
+            cpu_seconds=info["cpu_seconds"],
+            instructions=info["instructions"],
+        )
 
     def _populate_supervised_cache(
         self, request: Dict[str, Any], functions: Dict[str, Any]
@@ -966,10 +972,7 @@ class CompileServer:
         try:
             keys = self.result_cache.keys_for(parse(request["source"]))
             for name, info in functions.items():
-                self.result_cache.put(
-                    keys[name], name, info["assembly"],
-                    info["cpu_seconds"],
-                )
+                self._store(keys[name], name, info)
         except Exception:
             return  # cache population must never fail a served request
 
@@ -1081,9 +1084,8 @@ class CompileServer:
                 f"this server compiles for "
                 f"{self.generator.target.name!r}, not {wanted!r}",
             )
-        resilient = bool(request.get("resilient", False))
         want_spans = bool(request.get("spans", False))
-        use_cache = self.result_cache is not None and not resilient
+        use_cache = self.result_cache is not None
 
         recorder = install_recorder() if want_spans else None
         REGISTRY.drain()  # open this request's metrics window
@@ -1111,27 +1113,19 @@ class CompileServer:
         self, source: str, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         """The whole-unit path: ``compile_program`` with the persistent
-        pool, exactly the PR-5 semantics — and, when the result cache is
-        on, the population side of a fully-cold cached request."""
+        pool — and, when the result cache is on, the population side of
+        a fully-cold cached request."""
         jobs = int(request.get("jobs", self.jobs))
-        resilient = bool(request.get("resilient", False))
-
-        # The resilient path may terminate workers for containment —
-        # that poisons a pool, so it never borrows the persistent one.
-        pool = None
-        if jobs > 1 and not resilient:
-            pool = self._ensure_pool()
-
         assembly = compile_program(
             source,
             generator=self.generator,
             jobs=jobs,
-            resilient=resilient,
+            resilient=bool(request.get("resilient", False)),
             timeout=request.get("timeout"),
-            pool=pool,
+            pool=self._ensure_pool() if jobs > 1 else None,
         )
         self.functions_compiled += len(assembly.function_results)
-        if self.result_cache is not None and not resilient and assembly.ok:
+        if self.result_cache is not None:
             self._populate_cache(source, assembly)
         return {
             "ok": assembly.ok,
@@ -1148,19 +1142,14 @@ class CompileServer:
     def _populate_cache(
         self, source: str, assembly: ProgramAssembly
     ) -> None:
-        """Store every function of a successful full compile under its
+        """Store every healthy function of a full compile under its
         content address, so the next request for any of them is warm."""
         try:
             keys = self.result_cache.keys_for(parse(source))
         except Exception:
             return  # cache population must never fail a served request
-        for name in assembly.source_program.order:
-            result = assembly.function_results[name]
-            self.result_cache.put(
-                keys[name], name,
-                result.assembly,  # type: ignore[attr-defined]
-                _function_seconds(result),
-            )
+        for name, info in _function_records(assembly).items():
+            self._store(keys[name], name, info)
 
     def _compile_cached(
         self, source: str, request: Dict[str, Any]
@@ -1188,34 +1177,13 @@ class CompileServer:
             return response
 
         program = lower_program(ast, self.generator.machine)
-        cpu_seconds = 0.0
-        for name in misses:
-            result = self.generator.compile(program.forest(name))
-            cpu_seconds += _function_seconds(result)
-            entries[name] = self.result_cache.put(
-                keys[name], name, result.assembly, _function_seconds(result)
-            )
-        self.functions_compiled += len(program.order)
-        data_section = ProgramAssembly(source_program=program).data_section()
-        text = "\n".join(
-            [data_section]
-            + [entries[name]["assembly"] for name in program.order]
+        records = compile_misses(
+            self.generator, program, misses,
+            bool(request.get("resilient", False)),
         )
-        return {
-            "ok": True,
-            "op": "compile",
-            "assembly": text,
-            "functions": list(program.order),
-            "failed": [],
-            "tiers": {},
-            "seconds": time.perf_counter() - started,
-            "cpu_seconds": cpu_seconds,
-            "diagnostics": [],
-            "result_cache": {
-                "hits": len(program.order) - len(misses),
-                "misses": len(misses),
-            },
-        }
+        return self._partial_response(
+            program, keys, entries, records, started, [],
+        )
 
 
 def _deadline_of(

@@ -57,9 +57,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..codegen.recovery import compile_with_recovery
 from ..compile import (
-    _function_seconds, _pool_initializer, _worker_program, compile_program,
-    shared_table_initargs,
+    ProgramAssembly, _function_seconds, _pool_initializer, _worker_program,
+    check_strict, compile_program, shared_table_initargs,
 )
 from ..obs.metrics import REGISTRY
 from ..obs.spans import install_recorder, span, uninstall_recorder
@@ -122,32 +123,70 @@ def _service_chaos_hooks() -> None:
             time.sleep(float(seconds or 30.0))
 
 
+def _record(result: Any, tier: str, diagnostics: Any) -> Dict[str, Any]:
+    """One compiled function as the service ships, reports and stores
+    it: its text and stats, ladder tier and diagnostics."""
+    return {
+        "assembly": result.assembly,
+        "cpu_seconds": _function_seconds(result),
+        "instructions": result.instruction_count,
+        "tier": tier,
+        "diagnostics": [diag.to_dict() for diag in diagnostics],
+    }
+
+
+def _function_records(assembly: ProgramAssembly) -> Dict[str, Any]:
+    """:func:`_record` for every function of a whole-unit compile; a
+    function's diagnostics are the ones that name it."""
+    named: Dict[str, List[Any]] = {}
+    for diag in assembly.diagnostics:
+        if diag.function:
+            named.setdefault(diag.function, []).append(diag)
+    return {
+        name: _record(result, assembly.tiers[name], named.get(name, ()))
+        for name, result in assembly.function_results.items()
+    }
+
+
+def compile_misses(
+    generator,
+    program,
+    names: List[str],
+    resilient: bool,
+) -> Dict[str, Dict[str, Any]]:
+    """Ladder-compile the result-cache misses of a partly warm unit:
+    one :func:`_record` per name.  A strict request raises
+    :class:`~repro.diag.CompileError` when a function needed a rescue,
+    exactly as :func:`~repro.compile.compile_program` would."""
+    outcomes = [
+        compile_with_recovery(generator, program.forest(name))
+        for name in names
+    ]
+    check_strict(next((o.cause for o in outcomes if o.cause), None),
+                 resilient)
+    return {o.name: _record(o.result, o.tier, o.diagnostics) for o in outcomes}
+
+
 def _execute_job(
     request: Dict[str, Any], only: Optional[List[str]]
 ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
     """One job's work inside the worker: ``(response, functions)``.
 
     ``only`` names the result-cache misses of a partial hit — compile
-    just those functions and let the parent assemble the response from
-    cache entries plus these results.  ``only=None`` is a whole-unit
-    compile: the worker builds the full response itself (PR-7 response
-    shape) and ships per-function results for parent-side cache
-    population.
+    just those functions (:func:`compile_misses`) and let the parent
+    assemble the response from cache entries plus these records.
+    ``only=None`` is a whole-unit compile: the worker builds the full
+    response itself and ships per-function records for parent-side
+    cache population.  Either way a strict request (no
+    ``"resilient"``) fails with :class:`~repro.diag.CompileError` when
+    a function needed a rescue.
     """
     source = request["source"]
-    if only is not None:
-        program, generator = _worker_program(source)
-        functions: Dict[str, Any] = {}
-        for name in only:
-            result = generator.compile(program.forest(name))
-            functions[name] = {
-                "assembly": result.assembly,
-                "cpu_seconds": _function_seconds(result),
-            }
-        return None, functions
-
     resilient = bool(request.get("resilient", False))
-    _program, generator = _worker_program(source)
+    program, generator = _worker_program(source)
+    if only is not None:
+        return None, compile_misses(generator, program, only, resilient)
+
     assembly = compile_program(
         source,
         generator=generator,
@@ -166,16 +205,7 @@ def _execute_job(
         "cpu_seconds": assembly.cpu_seconds,
         "diagnostics": [d.to_dict() for d in assembly.diagnostics],
     }
-    functions = None
-    if assembly.ok and not resilient:
-        functions = {
-            name: {
-                "assembly": result.assembly,
-                "cpu_seconds": _function_seconds(result),
-            }
-            for name, result in assembly.function_results.items()
-        }
-    return response, functions
+    return response, _function_records(assembly)
 
 
 def _run_request(

@@ -8,7 +8,8 @@ removes that per-process cost: a cache key is the SHA-256 of the exact
 machine-description text plus the construction options, so any change to
 the productions or to the disambiguation toggles (``reversed_ops``,
 ``overfactoring_fix``) misses the cache and triggers a fresh build, while
-an unchanged description warm-starts from a pickle in milliseconds.
+an unchanged description warm-starts from a pickle in tens of
+milliseconds.
 
 Robustness rules:
 
@@ -264,6 +265,17 @@ class TableCache:
             os.remove(path)
         except OSError:
             pass
+
+
+def rewrite_payload(path: str, mutate: Callable[[Any], Any]) -> None:
+    """Fault injection: give the entry at *path* the payload
+    ``mutate(payload)`` but keep its stored digest, which
+    :meth:`TableCache.load` must then refuse."""
+    with open(path, "rb") as handle:
+        version, key, digest, payload = pickle.load(handle)
+    payload = pickle.dumps(mutate(pickle.loads(payload)))
+    with open(path, "wb") as handle:
+        pickle.dump((version, key, digest, payload), handle)
 
 
 def cached_build(

@@ -18,7 +18,6 @@ hashing against the dict tables.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,7 +151,7 @@ class PackedTables:
         return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedRuntime:
     """Flat integer matrices derived from :class:`PackedTables`.
 
@@ -164,41 +163,19 @@ class PackedRuntime:
     ``pool_single[i]`` is the lone production of reduce-pool entry *i* or
     -1 when the entry is an ambiguous tie.  Runtime-only: never pickled
     into the table cache, never counted by the E4 size metrics.
+
+    Immutable: the instance is frozen and every matrix is a tuple, so
+    nothing in the process can rewrite the rows the matcher reads.
+    Integrity is checked once, where tables enter a process (the table
+    cache's sha256 envelope); after that, the runtime is the process's
+    own read-only memory and needs no per-compile check.
     """
 
     nsymbols: int
-    action_words: List[int]
-    default_words: List[int]
-    goto_words: List[int]
-    pool_single: List[int]
-    checksum: int = -1
-
-    def compute_checksum(self) -> int:
-        """CRC-32 over the flat matrices (cheap: one bytes() pass each).
-
-        Stamped at expansion time; :meth:`verify_integrity` recomputes it
-        so the resilient pipeline can detect in-memory corruption of the
-        dense rows *before* they silently select wrong instructions —
-        corrupt action words often still parse, just wrongly.
-        """
-        crc = 0
-        for words in (
-            self.action_words, self.default_words,
-            self.goto_words, self.pool_single,
-        ):
-            crc = zlib.crc32(
-                b"".join(
-                    w.to_bytes(4, "little", signed=True) for w in words
-                ),
-                crc,
-            )
-        return zlib.crc32(self.nsymbols.to_bytes(4, "little"), crc)
-
-    def verify_integrity(self) -> bool:
-        """True when the matrices still match their expansion-time CRC."""
-        if self.checksum < 0:
-            return True  # never stamped (hand-built in tests)
-        return self.compute_checksum() == self.checksum
+    action_words: Tuple[int, ...]
+    default_words: Tuple[int, ...]
+    goto_words: Tuple[int, ...]
+    pool_single: Tuple[int, ...]
 
     @classmethod
     def from_packed(cls, packed: "PackedTables") -> "PackedRuntime":
@@ -221,15 +198,14 @@ class PackedRuntime:
             for symbol_id, target in packed.goto_rows[state]:
                 goto_words[base + symbol_id] = target
 
-        pool_single = [
+        pool_single = tuple(
             productions[0] if len(productions) == 1 else -1
             for productions in packed.reduce_pool
-        ]
-        runtime = cls(
-            nsymbols, action_words, default_words, goto_words, pool_single
         )
-        runtime.checksum = runtime.compute_checksum()
-        return runtime
+        return cls(
+            nsymbols, tuple(action_words), tuple(default_words),
+            tuple(goto_words), pool_single,
+        )
 
 
 def pack_tables(tables: ParseTables, compress_rows: bool = True) -> PackedTables:

@@ -28,9 +28,12 @@ requests::
 
     ggcc chaos-serve --scenario worker-kill --scenario worker-hang
 
-Resilient compilation routes every function through the recovery ladder
-and reports structured diagnostics (JSON with ``--diag-json``); failed
-functions make the exit status non-zero::
+Every function compiles through the recovery ladder.  By default a
+function that needed a rescue (or failed) is an error: exit status 1 and
+one structured line naming the diagnostic.  ``--resilient`` accepts
+rescued functions instead and reports the structured diagnostics (JSON
+with ``--diag-json``); only failed functions then make the exit status
+non-zero::
 
     ggcc --resilient --diag-json file.c
 
@@ -75,6 +78,7 @@ from typing import List, Optional
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
 from ..compile import compile_program
+from ..diag import CompileError
 from ..matcher.engine import ENGINES
 from ..matcher.trace import Tracer, format_trace
 from ..tables.slr import construct_tables
@@ -130,9 +134,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="comma-separated integer arguments for --run")
     parser.add_argument("-o", "--output", help="write assembly to a file")
     parser.add_argument("--resilient", action="store_true",
-                        help="route every function through the recovery "
-                             "ladder; one bad function degrades instead of "
-                             "aborting the program")
+                        help="accept functions the recovery ladder "
+                             "rescued (hoisted operands, PCC degrade) "
+                             "instead of exiting 1 on the first one; every "
+                             "compile runs the ladder either way")
     parser.add_argument("--diag-json", action="store_true",
                         help="print collected diagnostics as JSON on stdout "
                              "(assembly then only goes to --output)")
@@ -152,8 +157,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="persist incremental per-function results "
                              "under DIR (implies --incremental)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-function seconds before a process worker "
-                             "is declared hung (--resilient with --jobs)")
+                        help="per-function seconds before a process-pool "
+                             "batch is declared hung and recompiled in the "
+                             "parent (with --jobs)")
     parser.add_argument("--no-rescue-bridges", action="store_true",
                         help="build the grammar without the section-6.2.2 "
                              "rescue bridge productions (blocks at runtime; "
@@ -685,11 +691,16 @@ def _compile_main(options: argparse.Namespace, source: str) -> int:
             target=options.target,
         )
     except Exception as exc:
-        # without --resilient a block/crash is terminal; still report it
-        # as one structured line and a non-zero exit, not a traceback
+        # without --resilient a rescue is an error (CompileError names
+        # its diagnostic); report it as one structured line and a
+        # non-zero exit, not a traceback
+        kind = (
+            exc.diagnostic.code if isinstance(exc, CompileError)
+            else type(exc).__name__
+        )
         print(f"ggcc: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print("diagnostics: 1 recorded, 1 error(s): "
-              f"{type(exc).__name__}x1", file=sys.stderr)
+        print(f"diagnostics: 1 recorded, 1 error(s): {kind}x1",
+              file=sys.stderr)
         return 1
 
     if options.diag_json:

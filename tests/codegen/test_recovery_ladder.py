@@ -7,6 +7,8 @@ ladder must rescue it (hoist tier) with unchanged semantics, or degrade
 further on request.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.codegen.driver import GrahamGlanvilleCodeGenerator
@@ -14,7 +16,7 @@ from repro.codegen.recovery import (
     FailedFunction, compile_with_recovery,
 )
 from repro.compile import compile_program
-from repro.diag import codes
+from repro.diag import CompileError, codes
 from repro.frontend.lower import compile_c
 from repro.frontend.parser import parse
 from repro.fuzz.chaos import TINY_BLOCKER
@@ -31,7 +33,7 @@ def debridged():
 
 @pytest.fixture()
 def scratch_gen(vax_bundle):
-    """A generator with private tables, safe to corrupt."""
+    """A generator with private tables, safe to monkeypatch."""
     tables = construct_tables(vax_bundle.grammar)
     tables.packed().runtime()
     return GrahamGlanvilleCodeGenerator(bundle=vax_bundle, tables=tables)
@@ -39,6 +41,19 @@ def scratch_gen(vax_bundle):
 
 def blocker_forest():
     return compile_c(TINY_BLOCKER).forest("f")
+
+
+def crash_packed(gen, monkeypatch):
+    """Make *gen*'s packed matcher raise a non-block exception — what
+    corrupt or miscoded tables look like — while the dict loop works."""
+    original = gen.compile
+
+    def crashing(forest, trace=None, engine=None):
+        if engine == "dict":
+            return original(forest, trace=trace, engine=engine)
+        raise RuntimeError("packed matcher exploded")
+
+    monkeypatch.setattr(gen, "compile", crashing)
 
 
 class TestDeBridgedBlocks:
@@ -94,41 +109,47 @@ class TestHoistTier:
 
 
 class TestCorruptTables:
-    def test_integrity_checksum_detects_corruption(self, scratch_gen):
+    def test_packed_runtime_is_immutable(self, scratch_gen):
+        """Nothing in the process can rewrite the matrices the matcher
+        reads, so no per-compile integrity check is needed."""
         runtime = scratch_gen.tables.packed().runtime()
-        assert runtime.verify_integrity()
-        runtime.action_words[7] ^= 0x5A5A
-        assert not runtime.verify_integrity()
+        for field in dataclasses.fields(runtime):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(runtime, field.name, getattr(runtime, field.name))
+        for words in (
+            runtime.action_words, runtime.default_words,
+            runtime.goto_words, runtime.pool_single,
+        ):
+            assert isinstance(words, tuple)
+            with pytest.raises(TypeError):
+                words[0] = 0
 
-    def test_corrupt_packed_rescued_by_dict_tier(self, scratch_gen):
-        runtime = scratch_gen.tables.packed().runtime()
-        runtime.action_words[7] ^= 0x5A5A
+    def test_corrupt_packed_rescued_by_dict_tier(
+        self, scratch_gen, monkeypatch
+    ):
+        crash_packed(scratch_gen, monkeypatch)
         outcome = compile_with_recovery(scratch_gen, blocker_forest())
         assert outcome.tier == "dict"
+        assert outcome.recovered
         recorded = {d.code for d in outcome.diagnostics}
         assert codes.GG_TABLE_CORRUPT in recorded
         assert codes.RECOVER_DICT in recorded
 
     def test_packed_crash_contained_without_checksum(
-        self, scratch_gen, monkeypatch
+        self, gg, scratch_gen, monkeypatch
     ):
-        # even with integrity checking off, a crashing packed matcher is
-        # caught and the dict tier takes over
-        original = scratch_gen.compile
-
-        def crashing(forest, trace=None, engine=None):
-            if engine == "dict":
-                return original(forest, trace=trace, engine=engine)
-            raise RuntimeError("packed matcher exploded")
-
-        monkeypatch.setattr(scratch_gen, "compile", crashing)
-        outcome = compile_with_recovery(
-            scratch_gen, blocker_forest(), check_integrity=False
+        # no checksum guards the runtime any more: a crashing packed
+        # matcher is caught on the one compile path, the dict tier
+        # produces the engine-identical text, and a strict compile
+        # names the crash
+        crash_packed(scratch_gen, monkeypatch)
+        rescued = compile_program(
+            TINY_BLOCKER, generator=scratch_gen, resilient=True
         )
-        assert outcome.tier == "dict"
-        assert any(
-            d.code == codes.GG_TABLE_CORRUPT for d in outcome.diagnostics
-        )
+        assert rescued.tiers == {"f": "dict"}
+        assert rescued.text == compile_program(TINY_BLOCKER, generator=gg).text
+        with pytest.raises(CompileError, match=codes.GG_TABLE_CORRUPT):
+            compile_program(TINY_BLOCKER, generator=scratch_gen)
 
 
 class TestLowerRungs:

@@ -20,6 +20,18 @@ def pytest_addoption(parser):
     )
 
 
+@pytest.fixture()
+def fresh_pool():
+    """Retire the process-wide keep-alive pool around a test: pool
+    workers read the environment they were forked with, so a chaos
+    variable the test sets only reaches a pool created after it."""
+    from repro.compile import shutdown_worker_pools
+
+    shutdown_worker_pools()
+    yield
+    shutdown_worker_pools()
+
+
 @pytest.fixture(scope="session")
 def vax_bundle():
     return build_vax_grammar()

@@ -2,11 +2,14 @@
 
 The process-pool scenarios (worker-kill/worker-hang) are exercised by
 ``tests/integration/test_resilient_compile.py`` and by the CI chaos-smoke
-job; here we keep to the in-process scenarios so the suite stays fast.
+job; here we keep to the in-process scenarios so the suite stays fast,
+plus one kill that must reach a keep-alive pool created beforehand.
 """
 
 import pytest
 
+import repro.compile as compile_mod
+from repro.compile import compile_program
 from repro.fuzz.chaos import (
     ChaosCase, ChaosReport, SCENARIOS, TINY_BLOCKER, run_chaos,
 )
@@ -36,6 +39,12 @@ class TestCampaign:
         assert case.codes.get("GG-BLOCK-SYN", 0) >= 1
         assert case.tiers.get("f") in ("hoist", "pcc")
 
+    def test_table_corrupt_refused_at_load(self, report):
+        case = next(c for c in report.cases if c.scenario == "table-corrupt")
+        assert case.verdict == "recovered"
+        assert case.codes.get("CACHE-CORRUPT", 0) == 1
+        assert case.tiers == {"f": "packed"}
+
     def test_cache_corrupt_quarantined_and_recovered(self, report):
         case = next(c for c in report.cases if c.scenario == "cache-corrupt")
         assert case.verdict in ("clean", "recovered")
@@ -56,6 +65,32 @@ class TestCampaign:
         repeat = again.cases[0]
         assert (repeat.verdict, repeat.tiers, repeat.codes) \
             == (case.verdict, case.tiers, case.codes)
+
+
+def test_kill_reaches_a_keepalive_pool_created_earlier(fresh_pool):
+    """Workers read the environment they were forked with: a kill armed
+    after the keep-alive pool exists fires only because the harness
+    retires that pool around the fault."""
+    pools = []
+
+    def warm_pool_before_case_1(line):
+        # case 0 (one function, no pool) has already retired the pool
+        # on its way out; make a live one right before case 1 arms
+        if line.endswith("case 1 ..."):
+            compile_program(
+                "int a(int x) { return x; }\nint b(int y) { return y; }\n",
+                jobs=2,
+            )
+            pools.append(compile_mod._KEEPALIVE_POOL)
+
+    report = run_chaos(
+        seed=0, cases_per_scenario=2, scenarios=["worker-kill"],
+        progress=warm_pool_before_case_1,
+    )
+    assert pools and pools[0] is not None
+    case = report.cases[1]
+    assert case.verdict == "recovered"
+    assert case.codes.get("WORKER-CRASH", 0) >= 1
 
 
 class TestHarnessPieces:

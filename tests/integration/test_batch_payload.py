@@ -166,17 +166,18 @@ def test_text_payload_is_smaller_on_the_wire(gg, inline_worker):
     far smaller than the full CompileResult graph it flattens."""
     program = compile_c(MULTI_SOURCE, gg.machine)
     names = tuple(program.order)
-    lean_results, _ = compile_mod._compile_batch_in_worker(
+    outcomes, _ = compile_mod._compile_batch_in_worker(
         (MULTI_SOURCE, names)
     )
     full_results = [gg.compile(program.forest(name)) for name in names]
-    lean_bytes = len(pickle.dumps(lean_results))
+    lean_bytes = len(pickle.dumps(outcomes))
     full_bytes = len(pickle.dumps(full_results))
     assert lean_bytes < full_bytes, (lean_bytes, full_bytes)
     # the lean shape is the assembly text plus a compact constant per
-    # function — nothing proportional to the instruction object graph
-    text_bytes = sum(len(r.assembly) for r in lean_results)
-    assert lean_bytes < text_bytes + 256 * len(lean_results), (
+    # function (its tier and diagnostics ride beside the text) —
+    # nothing proportional to the instruction object graph
+    text_bytes = sum(len(o.result.assembly) for o in outcomes)
+    assert lean_bytes < text_bytes + 256 * len(outcomes), (
         lean_bytes, text_bytes,
     )
 
@@ -184,9 +185,11 @@ def test_text_payload_is_smaller_on_the_wire(gg, inline_worker):
 def test_function_text_keeps_timing_shape(gg, inline_worker):
     """`result.times.wall` is how cpu_seconds accounting reads worker
     results; the flat record must answer the same way."""
-    results, _ = compile_mod._compile_batch_in_worker(
+    outcomes, _ = compile_mod._compile_batch_in_worker(
         (MULTI_SOURCE, ("gcd",))
     )
-    (lean,) = results
+    (outcome,) = outcomes
+    lean = outcome.result
+    assert outcome.tier == "packed" and outcome.diagnostics == []
     assert lean.times.wall == lean.seconds
     assert compile_mod._function_seconds(lean) == lean.seconds

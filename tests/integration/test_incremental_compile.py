@@ -103,7 +103,8 @@ class TestWarmSkip:
         assert (out.cache_hits, out.cache_misses) == (2, 1)
         assert out.tiers["f"] == "cache"
         assert out.tiers["k"] == "cache"
-        assert "h" not in out.tiers
+        # the miss went through the ladder like every compile
+        assert out.tiers["h"] == "packed"
         assert out.text == compile_program(edited, generator=gg).text
 
     def test_whitespace_churn_still_hits(self, gg):
@@ -221,19 +222,25 @@ class TestRescuePoisoning:
         assert entry is not None and entry["rescued"] is False
 
     def test_rescue_is_not_stored_across_corruption_cycle(
-        self, vax_bundle, tmp_path
+        self, vax_bundle, tmp_path, monkeypatch
     ):
-        """The ISSUE scenario end to end: corrupt tables -> compile
-        (ladder rescue) -> restore -> recompile.  The rescue must not
+        """The hazard end to end: crashing packed matcher -> compile
+        (ladder rescue) -> repair -> recompile.  The rescue must not
         have seeded the cache, so the recompile is a fresh healthy
         compile — and only *that* result becomes cacheable."""
         tables = construct_tables(vax_bundle.grammar)
-        runtime = tables.packed().runtime()
         gen = GrahamGlanvilleCodeGenerator(bundle=vax_bundle, tables=tables)
         directory = str(tmp_path / "results")
         healthy_text = compile_program(TINY_BLOCKER, generator=gen).text
 
-        runtime.action_words[7] ^= 0x5A5A  # corrupt the packed runtime
+        original = gen.compile
+
+        def crashing(forest, trace=None, engine=None):
+            if engine == "dict":
+                return original(forest, trace=trace, engine=engine)
+            raise RuntimeError("packed matcher exploded")
+
+        monkeypatch.setattr(gen, "compile", crashing)
         rescued = compile_program(
             TINY_BLOCKER, generator=gen, resilient=True,
             incremental=True, result_cache_dir=directory,
@@ -242,7 +249,7 @@ class TestRescuePoisoning:
         assert rescued.diagnostics.has(codes.GG_TABLE_CORRUPT)
         assert rescued.cache_hits == 0
 
-        runtime.action_words[7] ^= 0x5A5A  # restore
+        monkeypatch.undo()  # repair the packed matcher
         fresh = compile_program(
             TINY_BLOCKER, generator=gen, resilient=True,
             incremental=True, result_cache_dir=directory,

@@ -4,10 +4,10 @@ The 0.2x process-pool regression came from shipping generator options
 with every per-function task and rebuilding tables per worker
 submission.  These tests pin the fixed contract: task payloads are
 O(source text) and never carry tables, batches are weight-balanced and
-order-preserving, a failed pool initializer degrades to a serial
-fallback with a WORKER-* diagnostic (never a hang or dropped
-functions), the keep-alive pool is actually reused, and the resilient
-path can no longer leak a pool when dispatch raises early.
+order-preserving, a failed pool initializer degrades to a parent-side
+recompile with a WORKER-CRASH diagnostic (never a hang or dropped
+functions), the keep-alive pool is actually reused, and a dispatch that
+raises early retires its pool instead of leaking it.
 """
 
 import pickle
@@ -199,22 +199,22 @@ def test_effective_width_clamps_to_cpus():
 
 
 # ------------------------------------------------- initializer failure
-def test_init_failure_falls_back_to_serial(gg, monkeypatch):
+def test_init_failure_falls_back_to_serial(gg, monkeypatch, fresh_pool):
     """Satellite: a pool whose initializer raises (what a cache miss +
-    builder failure in the worker looks like) must surface WORKER-INIT
-    and compile everything serially — same text, nothing dropped."""
+    builder failure in the worker looks like) breaks the pool like a
+    dead worker: WORKER-CRASH, and everything recompiles in the parent
+    — same text, nothing dropped."""
     monkeypatch.setenv(compile_mod.ENV_CHAOS_INIT_FAIL, "1")
-    monkeypatch.setenv(compile_mod.ENV_KEEPALIVE, "0")
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
     out = compile_program(
         MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
     )
     assert out.text == serial.text
     assert list(out.function_results) == list(serial.function_results)
-    assert out.diagnostics.has(codes.WORKER_INIT)
+    assert out.diagnostics.has(codes.WORKER_CRASH)
 
 
-def test_init_failure_resilient_recovers_all(gg, monkeypatch):
+def test_init_failure_resilient_recovers_all(gg, monkeypatch, fresh_pool):
     monkeypatch.setenv(compile_mod.ENV_CHAOS_INIT_FAIL, "1")
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
     out = compile_program(
@@ -244,10 +244,12 @@ def test_keepalive_pool_reused_across_calls(gg):
     assert compile_mod._KEEPALIVE_POOL is None
 
 
-def test_resilient_early_raise_cannot_leak_pool(gg, monkeypatch):
+def test_resilient_early_raise_cannot_leak_pool(
+    gg, monkeypatch, fresh_pool
+):
     """Satellite regression: dispatch raising before the first result
-    used to leak the ProcessPoolExecutor; the pool must now be shut
-    down on the way out of the resilient path."""
+    used to leak the ProcessPoolExecutor; a dispatch that raises now
+    retires the pool it used on the way out."""
     created = []
 
     class ExplodingPool(InlinePool):
@@ -264,5 +266,6 @@ def test_resilient_early_raise_cannot_leak_pool(gg, monkeypatch):
             MULTI_SOURCE, generator=gg, jobs=2, parallel="process",
             resilient=True,
         )
-    assert created, "the resilient path never built its pool"
+    assert created, "the pool path never built its pool"
+    assert created[0].broken
     assert created[0].shutdown_calls >= 1

@@ -1,9 +1,11 @@
-"""The resilient whole-program driver: containment, timeouts, recovery.
+"""The one compile path: containment, timeouts, recovery, strictness.
 
-``compile_program(..., resilient=True)`` must never let one bad function
-— blocked, crashed worker, hung worker, or unfixable — take down the
-rest of the program, and must leave a structured trail in
-``assembly.diagnostics``.
+Every ``compile_program`` runs the recovery ladder and contains worker
+failures; it must never let one bad function — blocked, crashed worker,
+hung worker, or unfixable — take down the rest of the program, and must
+leave a structured trail in ``assembly.diagnostics``.  ``resilient``
+only decides whether a rescued function is accepted or raised as a
+:class:`~repro.diag.CompileError`.
 """
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from repro.codegen.driver import GrahamGlanvilleCodeGenerator
 from repro.codegen.recovery import FailedFunction
 from repro.compile import compile_program
-from repro.diag import codes
+from repro.diag import CompileError, codes
 from repro.fuzz.chaos import TINY_BLOCKER
 from repro.workloads.programs import PROGRAMS_BY_NAME
 
@@ -47,6 +49,42 @@ class TestResilientHappyPath:
         assert assembly.ok
         vax = assembly.simulator()
         assert vax.call("gcd", [12, 18]) == 6
+
+
+@pytest.fixture(scope="module")
+def debridged():
+    return GrahamGlanvilleCodeGenerator(rescue_bridges=False, cache=False)
+
+
+class TestOnePath:
+    """The serial and pool paths are one path: the same ladder, the
+    same result, the same strictness check."""
+
+    SOURCE = TINY_BLOCKER + "int ok(int a, int b) { return a + b; }\n"
+
+    def test_resilient_identical_at_jobs_1_and_2(self, debridged, fresh_pool):
+        serial = compile_program(
+            self.SOURCE, generator=debridged, resilient=True, jobs=1
+        )
+        pooled = compile_program(
+            self.SOURCE, generator=debridged, resilient=True, jobs=2
+        )
+        assert serial.tiers == {"f": "hoist", "ok": "packed"}
+        assert pooled.text == serial.text
+        assert pooled.tiers == serial.tiers
+        assert [d.to_dict() for d in pooled.diagnostics] == [
+            d.to_dict() for d in serial.diagnostics
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_compile_raises_the_block(
+        self, debridged, jobs, fresh_pool
+    ):
+        with pytest.raises(CompileError) as info:
+            compile_program(self.SOURCE, generator=debridged, jobs=jobs)
+        assert info.value.diagnostic.code == codes.GG_BLOCK_SYN
+        assert info.value.diagnostic.function == "f"
+        assert str(info.value).startswith("GG-BLOCK-SYN: ")
 
 
 class TestBlockedFunctionRecovery:
@@ -105,6 +143,7 @@ class TestFailedFunctionContainment:
         assert any(d.function == "f" for d in failed_diags)
 
 
+@pytest.mark.usefixtures("fresh_pool")
 class TestProcessContainment:
     def test_killed_worker_recovered_in_parent(self, gg, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_KILL_FN", "fib")
@@ -118,6 +157,20 @@ class TestProcessContainment:
         assert assembly.text == serial.text
 
     def test_hung_worker_times_out_and_recovers(self, gg, monkeypatch):
+        import repro.compile as compile_module
+
+        # The pool forks after this patch, so only the parent's calls
+        # reach this list: the functions it recompiled itself.
+        in_parent = []
+        real_ladder = compile_module.compile_with_recovery
+
+        def recording_ladder(gen, forest, **kwargs):
+            in_parent.append(forest.name)
+            return real_ladder(gen, forest, **kwargs)
+
+        monkeypatch.setattr(
+            compile_module, "compile_with_recovery", recording_ladder
+        )
         monkeypatch.setenv("REPRO_CHAOS_HANG_FN", "gcd:20")
         assembly = compile_program(
             MULTI_SOURCE, generator=gg, resilient=True,
@@ -126,5 +179,9 @@ class TestProcessContainment:
         assert assembly.ok
         timeouts = assembly.diagnostics.by_code(codes.WORKER_TIMEOUT)
         assert any(d.function == "gcd" for d in timeouts)
+        # fib and bits finished on the other worker before gcd's batch
+        # timed out: they keep the worker's results
+        assert in_parent == ["gcd"]
+        assert {d.function for d in assembly.diagnostics} == {"gcd"}
         vax = assembly.simulator()
         assert vax.call("gcd", [48, 36]) == 12

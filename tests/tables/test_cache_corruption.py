@@ -12,6 +12,7 @@ import pytest
 
 from repro.tables.cache import (
     CACHE_VERSION, STORE_ATTEMPTS, TableCache, cached_build,
+    rewrite_payload,
 )
 
 KEY = "a" * 64
@@ -84,6 +85,14 @@ class TestForgedEnvelopes:
         assert cache.load(KEY) is None
         assert cache.last_corruption == "payload checksum mismatch"
         assert os.path.exists(entry_path(cache) + ".quarantined")
+
+    def test_rewritten_payload_is_quarantined(self, cache):
+        # the envelope stays well formed: only the digest catches it
+        rewrite_payload(
+            entry_path(cache), lambda payload: {**payload, "marker": "rot"}
+        )
+        assert cache.load(KEY) is None
+        assert cache.last_corruption == "payload checksum mismatch"
 
     def test_checksum_verified_before_unpickling(self, cache):
         # a malicious/garbage payload with a wrong digest must be

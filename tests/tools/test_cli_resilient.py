@@ -27,7 +27,9 @@ class TestResilientFlag:
         code = main(["--no-rescue-bridges", blocker])
         captured = capsys.readouterr()
         assert code == 1
-        assert "ggcc: error: SyntacticBlock" in captured.err
+        # strictness is a check on the one path's result: the rescue's
+        # first diagnostic becomes the error
+        assert "ggcc: error: CompileError: GG-BLOCK-SYN" in captured.err
         # the one-line summary is still structured, not a traceback
         assert "diagnostics:" in captured.err
 
