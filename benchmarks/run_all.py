@@ -208,15 +208,14 @@ def bench_incremental(source: str, repeats: int) -> dict:
     return rows
 
 
-def bench_server(source: str, jobs: int, repeats: int,
-                 batch_size: int) -> dict:
+def bench_server(source: str, repeats: int, batch_size: int) -> dict:
     """Batch-request throughput against a warm in-process compile server.
 
-    One server thread with resident tables (and a persistent worker
-    pool when ``jobs > 1``) answers a batch of ``batch_size`` compile
-    requests per round trip; throughput is requests (and functions) per
-    second over the best repeat, with every response checked against
-    the serial compile's assembly.
+    One server thread with resident tables answers a batch of
+    ``batch_size`` compile requests per round trip on its compile
+    executor; throughput is requests (and functions) per second over the
+    best repeat, with every response checked against the serial
+    compile's assembly.
     """
     import tempfile as _tempfile
     import threading
@@ -229,13 +228,13 @@ def bench_server(source: str, jobs: int, repeats: int,
         # The result cache would turn the repeats into pure cache reads;
         # this row's meaning is "every request pays the dynamic phase",
         # so it stays off (BENCH_server.json measures the cached rates).
-        server = CompileServer(path=path, jobs=jobs, result_cache=False)
+        server = CompileServer(path=path, result_cache=False)
         server.bind()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         batch = [{"source": source} for _ in range(batch_size)]
         with CompileClient(path=path) as client:
-            client.compile(source)  # warm-up: pool spin-up, first frames
+            client.compile(source)  # warm-up: first frames
             best, response = best_of(
                 repeats, lambda: client.compile_batch(batch)
             )
@@ -251,7 +250,6 @@ def bench_server(source: str, jobs: int, repeats: int,
         "round_trip_seconds": round(best, 4),
         "requests_per_sec": round(batch_size / best, 1),
         "functions_per_sec": round(batch_size * functions / best, 1),
-        "jobs": jobs,
         "identical_to_jobs1": identical,
     }
     print(f"  server batch={batch_size:3d} round-trip {best:8.4f}s "
@@ -443,8 +441,8 @@ def main(argv=None) -> int:
     compile_rows = bench_compile(scaled_source, options.jobs, repeats)
     print("incremental compile (cold vs warm result cache)...")
     incremental = bench_incremental(scaled_source, repeats)
-    print(f"compile server (batch requests, jobs={options.jobs})...")
-    server_row = bench_server(source, options.jobs, repeats, batch_size)
+    print("compile server (batch requests)...")
+    server_row = bench_server(source, repeats, batch_size)
     print("phase split (exclusive attribution)...")
     phases = bench_phases(source)
     print("per-target rows (every registered machine)...")

@@ -61,6 +61,7 @@ from .codegen.recovery import (
 )
 from .diag import codes
 from .diag.diagnostics import CompileError, Diagnostic, DiagnosticSink
+from .frontend.cast import CType
 from .frontend.lower import CompiledProgram, compile_c, lower_program
 from .frontend.parser import parse
 from .ir.tree import LabelDef
@@ -70,7 +71,7 @@ from .obs import (
 )
 from .obs.metrics import REGISTRY as METRICS
 from .pcc.codegen import PccResult, pcc_compile
-from .result_cache import ResultCache, entry_healthy, table_fingerprint
+from .result_cache import ResultCache, table_fingerprint
 from .sim.assembler import AsmProgram, assemble
 from .tables.cache import cached_load
 from .targets.base import Machine, Target
@@ -142,10 +143,7 @@ class ProgramAssembly:
         return "\n".join(parts)
 
     def data_section(self) -> str:
-        lines = ["\t.data"]
-        for name, ctype in self.source_program.globals.items():
-            lines.append(f"\t.comm _{name},{ctype.size()}")
-        return "\n".join(lines) + "\n"
+        return data_section_of(self.source_program.globals)
 
     @property
     def instruction_count(self) -> int:
@@ -172,6 +170,15 @@ class ProgramAssembly:
         vax = self.simulator(max_steps=max_steps)
         results = [vax.call(entry, list(args)) for entry, args in calls]
         return vax, results
+
+
+def data_section_of(globals_: Dict[str, CType]) -> str:
+    """A unit's ``.data`` block: one ``.comm`` per global, sized by its
+    C type (*globals_* maps each name to its type, in source order)."""
+    lines = ["\t.data"]
+    for name, ctype in globals_.items():
+        lines.append(f"\t.comm _{name},{ctype.size()}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -453,9 +460,9 @@ def _function_seconds(result: object) -> float:
 
 
 #: Parent-side parse/lower memo, the mirror of the workers'
-#: ``_WORKER_PROGRAMS``: a long-lived driver (benchmarks, a watch loop,
-#: ``ggcc serve`` falling back to in-process compiles) resubmits the
-#: same source text, and re-parsing it dwarfs the incremental probe.
+#: ``_WORKER_PROGRAMS``: a long-lived driver (benchmarks, a watch loop)
+#: resubmits the same source text to ``compile_program``, and re-parsing
+#: it dwarfs the incremental probe.
 #: ASTs and lowered programs are read-only downstream, so sharing is
 #: safe; the bound keeps a source-cycling caller from accumulating.
 _PARSED_LIMIT = 8
@@ -559,15 +566,11 @@ def _serve_cache_hits(
     program: CompiledProgram,
     out: ProgramAssembly,
 ) -> List[str]:
-    """Fill *out* from cached entries; returns the miss list in source
-    order.  Entries flagged ``rescued`` are refused — degraded assembly
-    from a recovery-ladder rescue must not answer a healthy compile."""
-    pending: List[str] = []
-    for name in program.order:
-        entry = cache.get(keys[name])
-        if entry is None or not entry_healthy(entry):
-            pending.append(name)
-            continue
+    """Fill *out* from cached entries by the cache's one probe rule
+    (:meth:`ResultCache.probe`); returns the miss list in source
+    order."""
+    entries, pending = cache.probe(keys, program.order)
+    for name, entry in entries.items():
         out.function_results[name] = CachedFunction(
             name=name,
             assembly=entry["assembly"],

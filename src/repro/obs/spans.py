@@ -262,7 +262,9 @@ def install_recorder(recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
     """Install (and return) the process-wide recorder; spans start being
     collected from this point on."""
     global _RECORDER
-    _RECORDER = recorder or SpanRecorder()
+    # ``is None``, not ``or``: an empty recorder is falsy (``__len__``)
+    # and must still be the one installed.
+    _RECORDER = SpanRecorder() if recorder is None else recorder
     return _RECORDER
 
 

@@ -28,7 +28,8 @@ stores through one gate, :meth:`ResultCache.put_healthy`, which refuses
 any function the engine did not compile on its own.  Entries flagged
 ``rescued=True`` are the defense-in-depth for entries written by older
 code or other processes, and :func:`entry_healthy` is the probe-side
-check.
+check behind :meth:`ResultCache.probe`, the one hit/miss rule the batch
+driver and the compile service share.
 
 Function identity is the *canonical* source — the unparser's rendering
 of the parsed AST, prefixed by the unit's global declarations (globals
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .frontend import cast
 from .frontend.unparse import declarator, unparse
@@ -203,6 +204,23 @@ class ResultCache:
         self.hits += 1
         METRICS.inc("server.result_cache.hits")
         return entry
+
+    def probe(
+        self, keys: Dict[str, str], names: Iterable[str]
+    ) -> Tuple[Dict[str, Dict[str, Any]], List[str]]:
+        """Split *names* into hits and misses by the one probe rule every
+        caller shares: a function is a hit when its key has an entry that
+        may answer a healthy compile (:func:`entry_healthy`).  Returns
+        ``(entries by name, misses in the order given)``."""
+        entries: Dict[str, Dict[str, Any]] = {}
+        misses: List[str] = []
+        for name in names:
+            entry = self.get(keys[name])
+            if entry is None or not entry_healthy(entry):
+                misses.append(name)
+            else:
+                entries[name] = entry
+        return entries, misses
 
     def _validated(
         self, key: str, payload: Any

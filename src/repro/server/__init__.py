@@ -3,28 +3,30 @@
 The paper's static/dynamic split says table construction is the
 expensive part and per-function compilation is cheap — so a driver that
 pays the static phase on every invocation throws the advantage away.
-``ggcc serve`` keeps one process alive with the constructed tables (and,
-with ``--jobs``, a persistent :class:`~repro.compile.SharedTablePool`)
-and serves concurrent clients from an asyncio accept loop: bounded
+``ggcc serve`` keeps one process alive with the constructed tables and
+serves concurrent clients from an asyncio accept loop: bounded
 admission queue with ``SERVER-OVERLOAD`` backpressure, per-request
 deadlines, request pipelining with id echo, and a per-function
 content-addressed result cache so repeat traffic skips the dynamic
 phase too.  Each response ships per-request diagnostics, a metrics
 delta, and (on request) a span trace.
 
-With ``--workers N`` the service is *self-healing*: compiles dispatch
-to N supervised warm subprocesses (health probes, crash/hang detection,
-restart with backoff, bounded re-dispatch), a per-failure-class circuit
-breaker sheds load when the backend is failing, and SIGTERM/SIGINT
-drains gracefully — every admitted request is answered, worst case with
-a structured ``SERVER-SHUTDOWN`` error.
+Every compile request takes one path: validate and probe the result
+cache in the server, compile the misses, assemble the response in the
+server.  With ``--workers N`` the service is *self-healing*: the misses
+compile on N supervised warm subprocesses (health probes, crash/hang
+detection, restart with backoff, bounded re-dispatch), a
+per-failure-class circuit breaker sheds load when the backend is
+failing, and SIGTERM/SIGINT drains gracefully — every admitted request
+is answered, worst case with a structured ``SERVER-SHUTDOWN`` error.
 
 Five modules::
 
     protocol.py      length-prefixed JSON frames; sans-IO FrameDecoder,
                      blocking and asyncio transports
     server.py        CompileServer: async accept loop, admission queue,
-                     deadlines, warm pool, result cache, graceful drain
+                     deadlines, the one compile path, result cache,
+                     graceful drain
     supervisor.py    WorkerSupervisor + CircuitBreaker: supervised
                      compile subprocesses, retries, breaker
     client.py        CompileClient: jittered connect retry, pipelining

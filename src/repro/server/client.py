@@ -116,9 +116,9 @@ class CompileClient:
 
     def compile(self, source: str, **options: Any) -> Dict[str, Any]:
         """Compile one translation unit; ``options`` pass through to the
-        request (``jobs``, ``resilient``, ``spans``,
-        ``timeout``, ``target`` — the server refuses a ``target`` other
-        than the one its tables were built for)."""
+        request (``resilient``, ``spans``, ``deadline``, ``id``,
+        ``target`` — the server refuses a ``target`` other than the one
+        its tables were built for)."""
         return self.request({"op": "compile", "source": source, **options})
 
     def compile_batch(

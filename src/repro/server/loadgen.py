@@ -242,7 +242,6 @@ def load_test_report(
     requests_per_client: int = 4,
     functions: int = 3,
     statements: int = 6,
-    jobs: int = 1,
     queue_limit: Optional[int] = None,
     deadline: Optional[float] = None,
     seed: int = 1982,
@@ -268,7 +267,6 @@ def load_test_report(
         socket_path = f"{tmp}/ggcc.sock"
         server = CompileServer(
             path=socket_path,
-            jobs=jobs,
             queue_limit=queue_limit or max(DEFAULT_QUEUE_LIMIT, clients * 2),
             default_deadline=deadline,
         )
@@ -302,7 +300,6 @@ def load_test_report(
             "requests_per_client": requests_per_client,
             "functions_per_unit": functions,
             "statements_per_function": statements,
-            "jobs": jobs,
             "seed": seed,
         },
         "cold": cold_report.to_dict(),

@@ -1,11 +1,23 @@
 """The long-lived compile service behind ``ggcc serve``.
 
 A :class:`CompileServer` owns one warm generator (tables constructed at
-startup, never again), an optional persistent
-:class:`~repro.compile.SharedTablePool` (``jobs > 1``), and a
-per-function content-addressed **result cache**
-(:mod:`repro.result_cache`): repeat traffic whose functions,
+startup, never again) and a per-function content-addressed **result
+cache** (:mod:`repro.result_cache`): repeat traffic whose functions,
 tables and engine are unchanged skips the dynamic phase entirely.
+
+Every compile request takes one path, whatever the backend:
+
+1. **Probe** (executor thread): validate the request — a dict, with
+   ``source`` text, for this server's ``target`` — parse it once, derive
+   its result-cache keys once and split hits from misses by the cache's
+   one probe rule (a disabled cache misses everything).
+2. **Compile the misses** with the one job body
+   (:func:`repro.server.supervisor._run_request`): on the executor
+   thread (``workers=0``), or in a supervised worker subprocess
+   (``workers=N``).  A unit whose every function hits skips this step,
+   so full hits never cross a pipe.
+3. **Assemble** (executor thread): the one response builder, and the
+   one place fresh results are stored.
 
 The service is an asyncio accept loop built for concurrent load:
 
@@ -30,25 +42,23 @@ The service is an asyncio accept loop built for concurrent load:
   compile cannot be interrupted, but its caller is never left waiting
   past the deadline).  Either way the client gets a structured
   ``SERVER-DEADLINE`` response.
-* **One compile executor** (``workers=0``, the default).  Compiles run
-  on a single worker thread: the dynamic phase is pure Python
-  (GIL-bound across threads anyway), per-request parallelism comes from
-  the process pool (``jobs``), and serializing compiles is what keeps
-  each response's *metrics delta* exact — the registry window opens and
-  closes around exactly one request's work.  Admission, framing,
-  caching decisions and deadline handling all stay on the event loop,
-  concurrent with any compile.
-* **Supervised workers** (``workers=N``).  Compiles dispatch to N warm
-  worker *subprocesses* under a :class:`WorkerSupervisor
+* **One compile executor.**  Probe and assembly — and, with
+  ``workers=0`` (the default), the compile itself — run on a single
+  worker thread: the dynamic phase is pure Python (GIL-bound across
+  threads anyway), and serializing that work is what keeps each
+  response's *metrics delta* exact — the registry window opens and
+  closes around exactly one request's step.  Admission, framing and
+  deadline handling stay on the event loop, concurrent with any
+  compile.
+* **Supervised workers** (``workers=N``).  The compile step dispatches
+  to N warm worker *subprocesses* under a :class:`WorkerSupervisor
   <repro.server.supervisor.WorkerSupervisor>`: a crashed or hung worker
-  is detected, killed, restarted with backoff, and its request
+  is detected, killed, restarted with backoff, and its job
   re-dispatched to a healthy sibling (bounded by ``max_retries``;
   idempotent because results are content-addressed).  A per-failure-
   class :class:`~repro.server.supervisor.CircuitBreaker` sheds load
   with ``SERVER-CIRCUIT-OPEN`` instead of queueing onto a failing
-  backend.  Cache probing, cache population and response assembly stay
-  in the parent on the executor thread; only the dynamic phase crosses
-  the process boundary.
+  backend.
 * **Graceful drain.**  SIGTERM/SIGINT (or the ``shutdown`` op) stops
   accepting, lets in-flight work finish within ``drain_grace`` seconds,
   and answers everything still queued or abandoned with a structured
@@ -59,17 +69,21 @@ Operations (JSON frames, :mod:`repro.server.protocol`):
 
 ``{"op": "ping"}``
     liveness probe; returns the server pid and uptime.
-``{"op": "compile", "source": ..., "id"?, "deadline"?, "jobs"?,
+``{"op": "compile", "source": ..., "id"?, "deadline"?, "target"?,
 "resilient"?, "spans"?}``
     compile one translation unit; the response carries the assembly,
     per-function tiers and failures, structured diagnostics, the
     request's metrics *delta*, result-cache traffic, and (with
-    ``"spans": true``) a Chrome ``trace_event`` list.
+    ``"spans": true``) a Chrome ``trace_event`` list — the parent's
+    ``server.request``/``server.cache_probe`` spans plus the compile's,
+    a supervised worker's on their own pid row.  Other fields
+    (``"jobs"``, ``"timeout"``, ``"parallel"``) are ignored.
 ``{"op": "compile_batch", "requests": [...]}``
     the compile op over a list, one response per request, in order —
     one round trip (and one admission-queue slot) for a whole batch.
 ``{"op": "stats"}``
-    request counters, queue depth, result-cache stats, pool shape.
+    request counters, queue depth, result-cache stats, supervisor and
+    breaker state.
 ``{"op": "shutdown"}``
     acknowledge, then stop accepting.
 
@@ -86,26 +100,26 @@ import signal
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
-from ..compile import (
-    ProgramAssembly, SharedTablePool, _effective_width, compile_program,
-)
+from ..compile import _report_table_cache, data_section_of
 from ..diag import codes
-from ..diag.diagnostics import Diagnostic
+from ..diag.diagnostics import Diagnostic, DiagnosticSink
 from ..frontend import lower_program, parse
-from ..obs import install_recorder, uninstall_recorder
 from ..obs.metrics import REGISTRY, MetricsSnapshot
-from ..obs.spans import span
+from ..obs.spans import (
+    SpanRecorder, install_recorder, span, uninstall_recorder,
+)
 from .protocol import (
     ProtocolError, read_frame_async, write_frame_async,
 )
 from ..result_cache import ResultCache, table_fingerprint
 from .supervisor import (
     CircuitBreaker, DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES, JobOutcome,
-    WorkerSupervisor, _function_records, compile_misses,
+    WorkerSupervisor, _run_request,
 )
 
 #: Admission-queue capacity when the caller doesn't choose one.  Large
@@ -186,10 +200,10 @@ class CompileServer:
 
     ``path`` binds an ``AF_UNIX`` socket (preferred: filesystem
     permissions are the access control); ``host``/``port`` binds TCP
-    loopback instead, for platforms without unix sockets.  ``jobs``
-    sizes the persistent worker pool used *within* a request (clamped
-    to available CPUs); cross-request concurrency comes from the async
-    accept loop and the result cache, not from thread fan-out.
+    loopback instead, for platforms without unix sockets.
+    Cross-request concurrency comes from the async accept loop, the
+    result cache and (``workers`` > 0) the supervised workers, not from
+    thread fan-out.
 
     ``queue_limit`` bounds the admission queue (queue-full requests get
     an immediate ``SERVER-OVERLOAD`` response); ``default_deadline``
@@ -199,9 +213,11 @@ class CompileServer:
     unless ``result_cache_dir`` names a persistent directory, and
     honouring ``REPRO_RESULT_CACHE=0``.
 
-    ``workers`` > 0 turns on the supervised subsystem: that many warm
-    compile subprocesses, per-job deadlines (``job_timeout``), bounded
-    re-dispatch (``max_retries``), and a circuit breaker.  ``breaker``
+    ``workers`` > 0 runs the compile step of every request on the
+    supervised subsystem: that many warm compile subprocesses, per-job
+    deadlines (``job_timeout``), bounded re-dispatch (``max_retries``),
+    and a circuit breaker; ``workers=0`` runs it on the compile
+    executor thread.  ``breaker``
     may be ``False`` (off), a ready
     :class:`~repro.server.supervisor.CircuitBreaker` (tests), or
     ``None`` — a default breaker when workers are supervised.
@@ -211,8 +227,8 @@ class CompileServer:
     ``max_requests`` stops the accept loop once that many requests have
     been received and answered — the tests' way of bounding a server
     thread's lifetime.  ``_before_compile`` is a test seam: a callable
-    run on the compile thread before each request's work (tests block
-    it on an event to fill the queue deterministically).
+    run on the compile thread before each compile request is validated
+    (tests block it on an event to fill the queue deterministically).
     """
 
     def __init__(
@@ -220,7 +236,6 @@ class CompileServer:
         path: Optional[str] = None,
         host: Optional[str] = None,
         port: int = 0,
-        jobs: int = 1,
         generator: Optional[GrahamGlanvilleCodeGenerator] = None,
         target: Optional[object] = None,
         max_requests: Optional[int] = None,
@@ -242,14 +257,12 @@ class CompileServer:
         self.path = path
         self.host = host
         self.port = port
-        self.jobs = max(1, jobs)
         self.max_requests = max_requests
         self.queue_limit = max(1, queue_limit)
         self.default_deadline = default_deadline
         self.generator = generator or GrahamGlanvilleCodeGenerator(
             target=target
         )
-        self.pool: Optional[SharedTablePool] = None
         self.started_at = time.monotonic()
         self.requests_served = 0
         self.functions_compiled = 0
@@ -295,20 +308,6 @@ class CompileServer:
         else:
             self.result_cache = None
 
-    # ------------------------------------------------------------ pool
-    def _ensure_pool(self) -> Optional[SharedTablePool]:
-        """The persistent pool, (re)created if absent or broken."""
-        if self.jobs <= 1:
-            return None
-        if self.pool is not None and self.pool.broken:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
-        if self.pool is None:
-            self.pool = SharedTablePool(
-                _effective_width(self.jobs), self.generator
-            )
-        return self.pool
-
     # --------------------------------------------------------- serving
     def bind(self) -> socket.socket:
         """Create, bind and listen; returns the listening socket."""
@@ -341,8 +340,8 @@ class CompileServer:
 
         Returns after a ``shutdown`` request or once ``max_requests``
         requests have been answered; the listening socket (and the
-        unix-socket path) are cleaned up on the way out, the worker
-        pool is shut down, but the warm generator (and the result
+        unix-socket path) are cleaned up on the way out, supervised
+        workers are stopped, but the warm generator (and the result
         cache) survive for a later call.
         """
         asyncio.run(self.serve_async())
@@ -351,8 +350,6 @@ class CompileServer:
         """The accept loop proper, for callers who own an event loop."""
         if self._listener is None:
             self.bind()
-        if self.jobs > 1 and self.workers == 0:
-            self._ensure_pool()
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._shutdown_event = asyncio.Event()
@@ -423,9 +420,6 @@ class CompileServer:
             self._draining = False
             if self.path is not None and os.path.exists(self.path):
                 os.unlink(self.path)
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-                self.pool = None
 
     def request_shutdown(self, reason: str = "request") -> None:
         """Begin a graceful drain (signal handlers land here)."""
@@ -703,12 +697,7 @@ class CompileServer:
             REGISTRY.observe("server.queue.wait_seconds", waited)
             try:
                 try:
-                    if self.supervisor is not None:
-                        response = await self._run_supervised(job)
-                    else:
-                        response = await self._loop.run_in_executor(
-                            self._executor, self._execute, job.request
-                        )
+                    response = await self._execute(job.request)
                 except Exception as exc:  # the server must outlive any request
                     self.errors += 1
                     response = _error(type(exc).__name__, str(exc))
@@ -732,255 +721,12 @@ class CompileServer:
                 self.breaker.record_success("crash")
                 self.breaker.record_success("deadline")
 
-    # ------------------------------------------------------- supervised
-    async def _run_supervised(self, job: _Job) -> Dict[str, Any]:
-        """The compile op against the worker supervisor (batch-aware)."""
-        if job.op == "compile":
-            return await self._run_supervised_one(job.request)
-        requests = job.request.get("requests")
-        if not isinstance(requests, list):
-            self.errors += 1
-            return _error("bad-request", "compile_batch needs 'requests'")
-        return {
-            "ok": True, "op": "compile_batch",
-            "responses": [
-                await self._run_supervised_one(item) for item in requests
-            ],
-        }
-
-    async def _run_supervised_one(
-        self, request: Any
-    ) -> Dict[str, Any]:
-        """One compile: probe the cache in the parent, cross the process
-        boundary only for the dynamic phase, assemble in the parent."""
-        probe = await self._loop.run_in_executor(
-            self._executor, self._supervised_probe, request
-        )
-        if "response" in probe:
-            return probe["response"]
-        outcome = await self.supervisor.submit(
-            request, only=probe.get("misses")
-        )
-        return await self._loop.run_in_executor(
-            self._executor, self._assemble_supervised,
-            request, probe, outcome,
-        )
-
-    def _supervised_probe(self, request: Any) -> Dict[str, Any]:
-        """Executor-thread half 1: validate, consult the result cache.
-
-        Returns ``{"response": ...}`` when the request is answerable
-        without a worker (validation failure, every function a cache
-        hit), else a probe dict carrying the cache state and the
-        parent-side metrics delta forward to assembly."""
-        if self._before_compile is not None:
-            self._before_compile(request)
-        if not isinstance(request, dict):
-            self.errors += 1
-            return {"response": _error(
-                "bad-request", "a compile request is a dict"
-            )}
-        source = request.get("source")
-        if not isinstance(source, str):
-            self.errors += 1
-            return {"response": _error(
-                "bad-request", "compile needs 'source' text"
-            )}
-        use_cache = self.result_cache is not None
-        probe: Dict[str, Any] = {
-            "use_cache": use_cache, "started": time.perf_counter(),
-            "misses": None,
-        }
-        REGISTRY.drain()  # open this request's metrics window
-        try:
-            with span("server.request", cat="server", cached=use_cache,
-                      supervised=True):
-                if not use_cache:
-                    probe["metrics"] = REGISTRY.drain()
-                    return probe
-                with span("server.cache_probe", cat="server"):
-                    ast = parse(source)
-                    keys = self.result_cache.keys_for(ast)
-                    entries: Dict[str, Dict[str, Any]] = {}
-                    misses: List[str] = []
-                    for func in ast.functions:
-                        entry = self.result_cache.get(keys[func.name])
-                        if entry is None:
-                            misses.append(func.name)
-                        else:
-                            entries[func.name] = entry
-                if misses and len(misses) == len(ast.functions):
-                    # Fully cold: the worker compiles the whole unit.
-                    probe["metrics"] = REGISTRY.drain()
-                    return probe
-                program = lower_program(ast, self.generator.machine)
-                if not misses:
-                    # Every function warm: answer without a worker.
-                    response = self._partial_response(
-                        program, keys, entries, {}, probe["started"], [],
-                    )
-                    response["metrics"] = REGISTRY.drain().to_dict()
-                    return {"response": response}
-                probe.update(
-                    misses=misses, keys=keys, entries=entries,
-                    program=program,
-                )
-        except Exception as exc:
-            self.errors += 1
-            response = _error(type(exc).__name__, str(exc))
-            response["op"] = "compile"
-            response["metrics"] = REGISTRY.drain().to_dict()
-            return {"response": response}
-        probe["metrics"] = REGISTRY.drain()
-        return probe
-
-    def _assemble_supervised(
-        self,
-        request: Dict[str, Any],
-        probe: Dict[str, Any],
-        outcome: JobOutcome,
-    ) -> Dict[str, Any]:
-        """Executor-thread half 2: turn the worker's outcome into the
-        response — crash/retry diagnostics, cache population, metrics
-        merge."""
-        REGISTRY.drain()  # open the assembly-side metrics window
-        recovered = not outcome.failed
-        crash_diags: List[Dict[str, Any]] = []
-        for attempt, kind in enumerate(outcome.failures, start=1):
-            crash_diags.append(Diagnostic(
-                code=codes.SERVER_WORKER_CRASH,
-                message=(
-                    f"compile worker {kind} on attempt {attempt}; "
-                    + ("the request was re-dispatched" if recovered
-                       else "the retry budget was exhausted")
-                ),
-                severity=codes.WARNING if recovered else codes.ERROR,
-                context={"attempt": attempt, "kind": kind},
-            ).to_dict())
-        if outcome.failures and recovered:
-            crash_diags.append(Diagnostic(
-                code=codes.SERVER_RETRY,
-                message=(
-                    f"request succeeded on attempt {outcome.attempts} "
-                    f"after {len(outcome.failures)} worker failure(s)"
-                ),
-                context={"attempts": outcome.attempts,
-                         "failures": list(outcome.failures)},
-            ).to_dict())
-
-        if outcome.failed:
-            self.errors += 1
-            message = (
-                "the compile's worker failed on every attempt "
-                f"({outcome.attempts} attempt(s): "
-                f"{', '.join(outcome.failures)})"
-            )
-            response = _error(codes.SERVER_WORKER_CRASH, message)
-            response["op"] = "compile"
-            response["diagnostics"] = crash_diags
-        elif outcome.response is not None:
-            # Whole-unit compile: the worker built the response body.
-            response = outcome.response
-            if "error" in response:
-                self.errors += 1
-            response["diagnostics"] = (
-                crash_diags + list(response.get("diagnostics", []))
-            )
-            names = response.get("functions", [])
-            if response.get("ok"):
-                self.functions_compiled += len(names)
-            if probe["use_cache"] and outcome.functions:
-                self._populate_supervised_cache(request, outcome.functions)
-            if probe["use_cache"]:
-                response["result_cache"] = {
-                    "hits": 0, "misses": len(names),
-                }
-        else:
-            # Partial cache hit: worker compiled just the misses.
-            response = self._partial_response(
-                probe["program"], probe["keys"], probe["entries"],
-                outcome.functions, probe["started"], crash_diags,
-            )
-
-        merged = probe.get("metrics") or MetricsSnapshot()
-        if outcome.metrics is not None:
-            merged.merge(outcome.metrics)
-        merged.merge(REGISTRY.drain())
-        response["metrics"] = merged.to_dict()
-        return response
-
-    def _partial_response(
-        self,
-        program: Any,
-        keys: Dict[str, str],
-        entries: Dict[str, Dict[str, Any]],
-        records: Dict[str, Dict[str, Any]],
-        started: float,
-        diagnostics: List[Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """The response for a unit served (partly) from the result
-        cache: cached texts for the hits, the fresh per-function
-        *records* (:func:`~repro.server.supervisor._record`) for
-        the misses, each stored through the healthy-only gate."""
-        texts = {name: entry["assembly"] for name, entry in entries.items()}
-        tiers = dict.fromkeys(entries, "cache")
-        cpu_seconds = 0.0
-        for name, info in records.items():
-            texts[name] = info["assembly"]
-            tiers[name] = info["tier"]
-            diagnostics.extend(info["diagnostics"])
-            cpu_seconds += info["cpu_seconds"]
-            self._store(keys[name], name, info)
-        self.functions_compiled += len(program.order)
-        data_section = ProgramAssembly(source_program=program).data_section()
-        failed = [name for name in program.order if tiers[name] == "failed"]
-        return {
-            "ok": not failed,
-            "op": "compile",
-            "assembly": "\n".join(
-                [data_section] + [texts[name] for name in program.order]
-            ),
-            "functions": list(program.order),
-            "failed": failed,
-            "tiers": {name: tiers[name] for name in program.order},
-            "seconds": time.perf_counter() - started,
-            "cpu_seconds": cpu_seconds,
-            "diagnostics": diagnostics,
-            "result_cache": {
-                "hits": len(entries), "misses": len(records),
-            },
-        }
-
-    def _store(self, key: str, name: str, info: Dict[str, Any]) -> None:
-        """Store one fresh function through the result cache's one
-        healthy-only gate; *info* is its ``assembly``/``cpu_seconds``/
-        ``instructions``/``tier``/``diagnostics`` record."""
-        self.result_cache.put_healthy(
-            key, name, info["assembly"],
-            tier=info["tier"],
-            diagnosed=bool(info["diagnostics"]),
-            cpu_seconds=info["cpu_seconds"],
-            instructions=info["instructions"],
-        )
-
-    def _populate_supervised_cache(
-        self, request: Dict[str, Any], functions: Dict[str, Any]
-    ) -> None:
-        """Store a supervised whole-unit compile's per-function results
-        under their content addresses (mirror of :meth:`_populate_cache`
-        for results that arrived over the worker pipe)."""
-        try:
-            keys = self.result_cache.keys_for(parse(request["source"]))
-            for name, info in functions.items():
-                self._store(keys[name], name, info)
-        except Exception:
-            return  # cache population must never fail a served request
-
     # -------------------------------------------------------- dispatch
     def handle(self, request: Any) -> Dict[str, Any]:
-        """Synchronous single-request dispatch — the compile semantics
-        without sockets, queueing or deadlines.  Never raises: every
-        failure becomes an ``{"ok": false, "error": ...}``."""
+        """Synchronous single-request dispatch for a server that is not
+        serving: the ``workers=0`` form of the compile path, without
+        sockets, queueing or deadlines.  Never raises: every failure
+        becomes an ``{"ok": false, "error": ...}``."""
         self.requests_served += 1
         if not isinstance(request, dict) or "op" not in request:
             self.errors += 1
@@ -995,7 +741,7 @@ class CompileServer:
                 self._running = False
                 return {"ok": True, "op": "shutdown"}
             if op in ("compile", "compile_batch"):
-                return self._execute(request)
+                return _run_inline(self._execute(request))
             self.errors += 1
             return _error("bad-request", f"unknown op {op!r}")
         except Exception as exc:  # pragma: no cover - defensive
@@ -1009,7 +755,6 @@ class CompileServer:
         }
 
     def _stats_response(self) -> Dict[str, Any]:
-        pool = self.pool
         return {
             "ok": True,
             "op": "stats",
@@ -1022,7 +767,6 @@ class CompileServer:
             "deadline_expired": self.deadline_expired,
             "shutdown_rejected": self.shutdown_rejected,
             "breaker_shed": self.breaker_shed,
-            "jobs": self.jobs,
             "workers": self.workers,
             "draining": self._draining,
             "supervisor": (
@@ -1041,31 +785,59 @@ class CompileServer:
                 self.result_cache.stats()
                 if self.result_cache is not None else None
             ),
-            "pool": None if pool is None else {
-                "workers": pool.jobs,
-                "broken": pool.broken,
-            },
             "table_source": self.generator.table_source,
             "target": self.generator.target.name,
         }
 
     # ---------------------------------------------------------- compile
-    def _execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Compile-op body; runs on the compile executor thread."""
-        if self._before_compile is not None:
-            self._before_compile(request)
+    async def _execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The compile op on either backend: one request, or a
+        ``compile_batch`` of them answered in order."""
         if request["op"] == "compile":
-            return self._handle_compile(request)
+            return await self._compile(request)
         requests = request.get("requests")
         if not isinstance(requests, list):
             self.errors += 1
             return _error("bad-request", "compile_batch needs 'requests'")
         return {
             "ok": True, "op": "compile_batch",
-            "responses": [self._handle_compile(item) for item in requests],
+            "responses": [await self._compile(item) for item in requests],
         }
 
-    def _handle_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _compile(self, request: Any) -> Dict[str, Any]:
+        """One compile request, one path on both backends: validate and
+        probe, compile the misses, assemble the response.  Only the
+        middle step differs — the executor thread (``workers=0``) or a
+        supervised worker — and a unit whose every function hits skips
+        it."""
+        probe = await self._offload(self._probe, request)
+        if not isinstance(probe, _Probe):
+            return probe  # refused before any compile
+        if not probe.misses:
+            outcome = JobOutcome(functions={})
+        elif self.supervisor is not None:
+            outcome = await self.supervisor.submit(request, only=probe.misses)
+        else:
+            outcome = await self._offload(self._compile_misses, probe)
+        return await self._offload(self._assemble, probe, outcome)
+
+    async def _offload(self, step: Callable[..., Any], *args: Any) -> Any:
+        """Run one step of the compile path on the compile executor — or
+        in line while the service isn't running (:meth:`handle`)."""
+        if self._executor is None:
+            return step(*args)
+        return await self._loop.run_in_executor(self._executor, step, *args)
+
+    def _probe(self, request: Any) -> Any:
+        """Step 1: validate one compile request — a dict, with ``source``
+        text, for this server's ``target`` — then parse it once, derive
+        its keys once and split hits from misses by the result cache's
+        probe rule (:meth:`ResultCache.probe`); a disabled cache misses
+        everything.  Opens the request's metrics and span windows.
+        Returns the :class:`_Probe`, or the response refusing the
+        request."""
+        if self._before_compile is not None:
+            self._before_compile(request)
         if not isinstance(request, dict):
             self.errors += 1
             return _error("bad-request", "a compile request is a dict")
@@ -1084,106 +856,213 @@ class CompileServer:
                 f"this server compiles for "
                 f"{self.generator.target.name!r}, not {wanted!r}",
             )
-        want_spans = bool(request.get("spans", False))
-        use_cache = self.result_cache is not None
-
-        recorder = install_recorder() if want_spans else None
-        REGISTRY.drain()  # open this request's metrics window
-        try:
+        recorder = SpanRecorder() if request.get("spans") else None
+        probe = _Probe(request, time.perf_counter(), recorder)
+        with _recording(recorder):
+            REGISTRY.drain()  # open this request's metrics window
+            probe.window.enter_context(span(
+                "server.request", cat="server",
+                cached=self.result_cache is not None,
+                supervised=self.supervisor is not None,
+            ))
             try:
-                with span("server.request", cat="server",
-                          cached=use_cache):
-                    if use_cache:
-                        response = self._compile_cached(source, request)
-                    else:
-                        response = self._compile_full(source, request)
+                with span("server.cache_probe", cat="server"):
+                    probe.ast = parse(source)
+                    probe.names = [f.name for f in probe.ast.functions]
+                    probe.misses = probe.names
+                    if self.result_cache is not None:
+                        probe.keys = self.result_cache.keys_for(probe.ast)
+                        probe.entries, probe.misses = (
+                            self.result_cache.probe(probe.keys, probe.names)
+                        )
             except Exception as exc:
+                probe.window.close()
                 self.errors += 1
                 response = _error(type(exc).__name__, str(exc))
                 response["op"] = "compile"
-            response["metrics"] = REGISTRY.drain().to_dict()
-            if recorder is not None and response.get("ok"):
-                response["spans"] = recorder.to_trace_events()
-        finally:
-            if recorder is not None:
-                uninstall_recorder()
+                response["metrics"] = REGISTRY.drain().to_dict()
+                return response
+            probe.metrics = REGISTRY.drain()
+        return probe
+
+    def _compile_misses(self, probe: _Probe) -> JobOutcome:
+        """Step 2 with ``workers=0``: the job body on the executor thread,
+        lowering the probe's AST with this server's generator."""
+
+        def front_end():
+            program = lower_program(probe.ast, self.generator.machine)
+            return program, self.generator
+
+        with _recording(probe.recorder):
+            return _run_request(probe.request, probe.misses, front_end)
+
+    def _assemble(
+        self, probe: _Probe, outcome: JobOutcome
+    ) -> Dict[str, Any]:
+        """Step 3, the one response builder and the one result-cache store
+        site: the hits' cached texts and the misses' fresh records, in
+        source order under the unit's data section — or the error that
+        ended the job.  Diagnostics list worker crashes and retries
+        first, then the generator's table-cache repairs, then each fresh
+        function's own.  Closes the request's metrics and span
+        windows."""
+        with _recording(probe.recorder):
+            REGISTRY.drain()  # open the assembly-side metrics window
+            diagnostics = _crash_diagnostics(outcome)
+            repairs = DiagnosticSink()
+            _report_table_cache(self.generator, repairs)
+            diagnostics.extend(d.to_dict() for d in repairs.records())
+            if outcome.failed:
+                response = _error(
+                    codes.SERVER_WORKER_CRASH,
+                    "the compile's worker failed on every attempt "
+                    f"({outcome.attempts} attempt(s): "
+                    f"{', '.join(outcome.failures)})",
+                )
+            elif outcome.error is not None:
+                response = _error(
+                    outcome.error["type"], outcome.error["message"]
+                )
+            else:
+                response = self._compiled_unit(
+                    probe, outcome.functions, diagnostics
+                )
+            if "error" in response:
+                self.errors += 1
+            response["op"] = "compile"
+            response["diagnostics"] = diagnostics
+            if self.result_cache is not None:
+                response["result_cache"] = {
+                    "hits": len(probe.entries), "misses": len(probe.misses),
+                }
+            probe.window.close()
+            metrics = probe.metrics
+            if outcome.metrics is not None:
+                metrics.merge(outcome.metrics)
+            metrics.merge(REGISTRY.drain())
+            response["metrics"] = metrics.to_dict()
+        if probe.recorder is not None and response["ok"]:
+            probe.recorder.absorb(outcome.spans)
+            response["spans"] = probe.recorder.to_trace_events()
         return response
 
-    def _compile_full(
-        self, source: str, request: Dict[str, Any]
+    def _compiled_unit(
+        self,
+        probe: _Probe,
+        records: Dict[str, Dict[str, Any]],
+        diagnostics: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """The whole-unit path: ``compile_program`` with the persistent
-        pool — and, when the result cache is on, the population side of
-        a fully-cold cached request."""
-        jobs = int(request.get("jobs", self.jobs))
-        assembly = compile_program(
-            source,
-            generator=self.generator,
-            jobs=jobs,
-            resilient=bool(request.get("resilient", False)),
-            timeout=request.get("timeout"),
-            pool=self._ensure_pool() if jobs > 1 else None,
-        )
-        self.functions_compiled += len(assembly.function_results)
-        if self.result_cache is not None:
-            self._populate_cache(source, assembly)
+        """The body of a compiled unit's response: cached texts for the
+        hits, the fresh *records* (:func:`~repro.server.supervisor._record`)
+        for the misses, each stored through the healthy-only gate, and
+        their diagnostics appended to *diagnostics*."""
+        texts = {name: hit["assembly"] for name, hit in probe.entries.items()}
+        tiers = dict.fromkeys(probe.entries, "cache")
+        for name, info in records.items():
+            texts[name] = info["assembly"]
+            tiers[name] = info["tier"]
+            diagnostics.extend(info["diagnostics"])
+            if self.result_cache is not None:
+                self.result_cache.put_healthy(
+                    probe.keys[name], name, info["assembly"],
+                    tier=info["tier"],
+                    diagnosed=bool(info["diagnostics"]),
+                    cpu_seconds=info["cpu_seconds"],
+                    instructions=info["instructions"],
+                )
+        self.functions_compiled += len(records)
+        names = probe.names
+        globals_ = {decl.name: decl.ty for decl in probe.ast.globals}
+        failed = [name for name in names if tiers[name] == "failed"]
         return {
-            "ok": assembly.ok,
-            "op": "compile",
-            "assembly": assembly.text,
-            "functions": list(assembly.source_program.order),
-            "failed": assembly.failed,
-            "tiers": assembly.tiers,
-            "seconds": assembly.seconds,
-            "cpu_seconds": assembly.cpu_seconds,
-            "diagnostics": [d.to_dict() for d in assembly.diagnostics],
+            "ok": not failed,
+            "assembly": "\n".join(
+                [data_section_of(globals_)] + [texts[name] for name in names]
+            ),
+            "functions": list(names),
+            "failed": failed,
+            "tiers": {name: tiers[name] for name in names},
+            "seconds": time.perf_counter() - probe.started,
+            "cpu_seconds": sum(
+                info["cpu_seconds"] for info in records.values()
+            ),
         }
 
-    def _populate_cache(
-        self, source: str, assembly: ProgramAssembly
-    ) -> None:
-        """Store every healthy function of a full compile under its
-        content address, so the next request for any of them is warm."""
-        try:
-            keys = self.result_cache.keys_for(parse(source))
-        except Exception:
-            return  # cache population must never fail a served request
-        for name, info in _function_records(assembly).items():
-            self._store(keys[name], name, info)
 
-    def _compile_cached(
-        self, source: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """The result-cache path: hits skip the dynamic phase, misses
-        compile serially against the warm generator and populate the
-        cache.  A fully-cold unit falls back to :meth:`_compile_full`
-        (pool parallelism) and populates from its results."""
-        started = time.perf_counter()
-        with span("server.cache_probe", cat="server"):
-            ast = parse(source)
-            keys = self.result_cache.keys_for(ast)
-            entries: Dict[str, Dict[str, Any]] = {}
-            misses: List[str] = []
-            for func in ast.functions:
-                entry = self.result_cache.get(keys[func.name])
-                if entry is None:
-                    misses.append(func.name)
-                else:
-                    entries[func.name] = entry
+@dataclass
+class _Probe:
+    """One validated compile request after its result-cache probe: the
+    parsed unit, its keys, the hits' entries and the misses, and the
+    request's open metrics and span windows."""
 
-        if misses and len(misses) == len(ast.functions):
-            response = self._compile_full(source, request)
-            response["result_cache"] = {"hits": 0, "misses": len(misses)}
-            return response
+    request: Dict[str, Any]
+    started: float
+    recorder: Optional[SpanRecorder]
+    #: Holds the request's ``server.request`` span open from the probe
+    #: to the response, across the steps in between.
+    window: ExitStack = field(default_factory=ExitStack)
+    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    ast: Any = None
+    names: List[str] = field(default_factory=list)
+    keys: Dict[str, str] = field(default_factory=dict)
+    entries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    misses: List[str] = field(default_factory=list)
 
-        program = lower_program(ast, self.generator.machine)
-        records = compile_misses(
-            self.generator, program, misses,
-            bool(request.get("resilient", False)),
-        )
-        return self._partial_response(
-            program, keys, entries, records, started, [],
-        )
+
+@contextmanager
+def _recording(recorder: Optional[SpanRecorder]) -> Iterator[None]:
+    """Install a request's span *recorder* for one step of its compile
+    path (the recorder is process-wide, and steps of different requests
+    interleave on the executor thread)."""
+    if recorder is None:
+        yield
+        return
+    install_recorder(recorder)
+    try:
+        yield
+    finally:
+        uninstall_recorder()
+
+
+def _crash_diagnostics(outcome: JobOutcome) -> List[Dict[str, Any]]:
+    """One ``SERVER-WORKER-CRASH`` per failed attempt of a supervised
+    job, plus ``SERVER-RETRY`` when a later attempt succeeded."""
+    recovered = not outcome.failed
+    diagnostics = [
+        Diagnostic(
+            code=codes.SERVER_WORKER_CRASH,
+            message=(
+                f"compile worker {kind} on attempt {attempt}; "
+                + ("the request was re-dispatched" if recovered
+                   else "the retry budget was exhausted")
+            ),
+            severity=codes.WARNING if recovered else codes.ERROR,
+            context={"attempt": attempt, "kind": kind},
+        ).to_dict()
+        for attempt, kind in enumerate(outcome.failures, start=1)
+    ]
+    if outcome.failures and recovered:
+        diagnostics.append(Diagnostic(
+            code=codes.SERVER_RETRY,
+            message=(
+                f"request succeeded on attempt {outcome.attempts} "
+                f"after {len(outcome.failures)} worker failure(s)"
+            ),
+            context={"attempts": outcome.attempts,
+                     "failures": list(outcome.failures)},
+        ).to_dict())
+    return diagnostics
+
+
+def _run_inline(coroutine: Any) -> Any:
+    """Drive a compile coroutine whose steps all run in line (the
+    service isn't running, so nothing ever suspends) to its result."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("an in-line compile suspended")
 
 
 def _deadline_of(

@@ -1,9 +1,9 @@
 """Supervised compile-worker subsystem for the compile service.
 
-PR 7 left every compile on a single unsupervised in-process thread: one
-hung or crashed compile stalls the whole service.  This module removes
-that single point of failure.  A :class:`WorkerSupervisor` owns ``N``
-warm worker *subprocesses* — each runs the same
+An unsupervised service compiles on one in-process thread: one hung or
+crashed compile stalls the whole service.  This module removes that
+single point of failure.  A :class:`WorkerSupervisor` owns ``N`` warm
+worker *subprocesses* — each runs the same
 :func:`repro.compile._pool_initializer` a :class:`SharedTablePool`
 worker runs, so constructed tables arrive by fork copy-on-write (or one
 content-addressed cache load under spawn) and stay resident for the
@@ -29,6 +29,12 @@ worker's life — and makes the service self-healing around them:
 * **Health probes.**  A periodic probe task pings idle workers
   (liveness + round-trip); a silent worker is retired and restarted
   before a real request finds it.
+
+A job is one request's result-cache misses, and its body,
+:func:`_run_request`, is the same whichever backend runs it: a worker
+here, or the server's executor thread with ``workers=0``.  The server
+validates, probes and assembles in the parent either way, so a request
+whose every function hits never crosses a pipe.
 
 :class:`CircuitBreaker` is the admission-side half: it tracks failure
 events per *class* (``crash`` for worker deaths and hangs, ``deadline``
@@ -59,11 +65,13 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..codegen.recovery import compile_with_recovery
 from ..compile import (
-    ProgramAssembly, _function_seconds, _pool_initializer, _worker_program,
-    check_strict, compile_program, shared_table_initargs,
+    _function_seconds, _pool_initializer, _worker_program, check_strict,
+    shared_table_initargs,
 )
 from ..obs.metrics import REGISTRY
-from ..obs.spans import install_recorder, span, uninstall_recorder
+from ..obs.spans import (
+    current_recorder, install_recorder, span, uninstall_recorder,
+)
 
 #: Per-job deadline when the server doesn't choose one: long enough for
 #: any honest compile, short enough that a hung worker is reaped before
@@ -102,6 +110,32 @@ class WorkerFailure(Exception):
         self.detail = detail
 
 
+@dataclass
+class JobOutcome:
+    """One compile job's result, from either backend.
+
+    ``functions`` holds one :func:`_record` per compiled miss; ``error``
+    is the ``{"type", "message"}`` of a job that raised (a strict
+    request's ``CompileError``, a lowering error); ``metrics`` is the
+    job's registry delta and ``spans`` the span records a worker
+    recorded.  ``failures`` lists the kind of every failed attempt —
+    when ``functions`` and ``error`` are both ``None`` the retry budget
+    was exhausted and the caller owes the client a structured
+    ``SERVER-WORKER-CRASH`` error.
+    """
+
+    functions: Optional[Dict[str, Any]] = None
+    error: Optional[Dict[str, str]] = None
+    metrics: Any = None
+    spans: List[Any] = field(default_factory=list)
+    attempts: int = 1
+    failures: List[str] = field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        return self.functions is None and self.error is None
+
+
 # ------------------------------------------------------------ worker side
 def _consume_marker(path: str) -> bool:
     """Atomically claim a chaos marker file: whoever unlinks it acts."""
@@ -135,27 +169,14 @@ def _record(result: Any, tier: str, diagnostics: Any) -> Dict[str, Any]:
     }
 
 
-def _function_records(assembly: ProgramAssembly) -> Dict[str, Any]:
-    """:func:`_record` for every function of a whole-unit compile; a
-    function's diagnostics are the ones that name it."""
-    named: Dict[str, List[Any]] = {}
-    for diag in assembly.diagnostics:
-        if diag.function:
-            named.setdefault(diag.function, []).append(diag)
-    return {
-        name: _record(result, assembly.tiers[name], named.get(name, ()))
-        for name, result in assembly.function_results.items()
-    }
-
-
 def compile_misses(
     generator,
     program,
     names: List[str],
     resilient: bool,
 ) -> Dict[str, Dict[str, Any]]:
-    """Ladder-compile the result-cache misses of a partly warm unit:
-    one :func:`_record` per name.  A strict request raises
+    """Ladder-compile a unit's result-cache misses: one :func:`_record`
+    per name.  A strict request raises
     :class:`~repro.diag.CompileError` when a function needed a rescue,
     exactly as :func:`~repro.compile.compile_program` would."""
     outcomes = [
@@ -167,72 +188,41 @@ def compile_misses(
     return {o.name: _record(o.result, o.tier, o.diagnostics) for o in outcomes}
 
 
-def _execute_job(
-    request: Dict[str, Any], only: Optional[List[str]]
-) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
-    """One job's work inside the worker: ``(response, functions)``.
-
-    ``only`` names the result-cache misses of a partial hit — compile
-    just those functions (:func:`compile_misses`) and let the parent
-    assemble the response from cache entries plus these records.
-    ``only=None`` is a whole-unit compile: the worker builds the full
-    response itself and ships per-function records for parent-side
-    cache population.  Either way a strict request (no
-    ``"resilient"``) fails with :class:`~repro.diag.CompileError` when
-    a function needed a rescue.
-    """
-    source = request["source"]
-    resilient = bool(request.get("resilient", False))
-    program, generator = _worker_program(source)
-    if only is not None:
-        return None, compile_misses(generator, program, only, resilient)
-
-    assembly = compile_program(
-        source,
-        generator=generator,
-        jobs=1,
-        resilient=resilient,
-        timeout=request.get("timeout"),
-    )
-    response = {
-        "ok": assembly.ok,
-        "op": "compile",
-        "assembly": assembly.text,
-        "functions": list(assembly.source_program.order),
-        "failed": assembly.failed,
-        "tiers": assembly.tiers,
-        "seconds": assembly.seconds,
-        "cpu_seconds": assembly.cpu_seconds,
-        "diagnostics": [d.to_dict() for d in assembly.diagnostics],
-    }
-    return response, _function_records(assembly)
-
-
 def _run_request(
-    request: Dict[str, Any], only: Optional[List[str]]
-) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]], Any]:
-    """Job body with the per-request obs window: returns ``(response,
-    functions, metrics snapshot)``; never raises."""
-    want_spans = bool(request.get("spans", False)) and only is None
-    recorder = install_recorder() if want_spans else None
+    request: Dict[str, Any],
+    names: List[str],
+    front_end: Callable[[], Tuple[Any, Any]],
+) -> JobOutcome:
+    """The one job body of the compile service, on either backend.
+
+    ``front_end()`` gives the unit's lowered program and the generator
+    to compile it with: a worker's memoized :func:`_worker_program`, or
+    the server's own generator lowering the probe's AST (``workers=0``).
+    The body compiles *names*, the request's result-cache misses
+    (:func:`compile_misses`), inside this job's metrics window.  Spans
+    land in the recorder already installed (in process, the request's
+    own); a ``"spans"`` request in a worker gets a fresh recorder whose
+    records ship home in the outcome.  Never raises: a failure — a
+    strict request's :class:`~repro.diag.CompileError` included — is
+    the outcome's ``error``.
+    """
+    fresh = current_recorder() is None and bool(request.get("spans"))
+    recorder = install_recorder() if fresh else None
     REGISTRY.drain()  # open this job's metrics window
+    outcome = JobOutcome()
     try:
-        try:
-            response, functions = _execute_job(request, only)
-        except Exception as exc:  # the worker must outlive any request
-            response = {
-                "ok": False,
-                "op": "compile",
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            functions = None
-        snapshot = REGISTRY.drain()
-        if recorder is not None and response and response.get("ok"):
-            response["spans"] = recorder.to_trace_events()
+        program, generator = front_end()
+        outcome.functions = compile_misses(
+            generator, program, names, bool(request.get("resilient", False))
+        )
+    except Exception as exc:  # the worker must outlive any request
+        outcome.error = {"type": type(exc).__name__, "message": str(exc)}
     finally:
+        outcome.metrics = REGISTRY.drain()
         if recorder is not None:
             uninstall_recorder()
-    return response, functions, snapshot
+            outcome.spans = recorder.drain()
+    return outcome
 
 
 def _worker_main(
@@ -269,10 +259,12 @@ def _worker_main(
             reply = ("pong", job_id, os.getpid())
         else:
             _service_chaos_hooks()
-            response, functions, snapshot = _run_request(
-                message[2], message[3]
+            request = message[2]
+            outcome = _run_request(
+                request, message[3],
+                lambda: _worker_program(request["source"]),
             )
-            reply = ("done", job_id, response, functions, snapshot)
+            reply = ("done", job_id, outcome)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -280,30 +272,6 @@ def _worker_main(
 
 
 # ------------------------------------------------------------ parent side
-@dataclass
-class JobOutcome:
-    """What :meth:`WorkerSupervisor.submit` hands back.
-
-    ``response`` is set for whole-unit jobs (and worker-side errors);
-    ``functions`` carries per-function results (partial jobs, and cache
-    population for whole units); ``metrics`` is the worker's registry
-    delta.  ``failures`` lists the kind of every failed attempt — when
-    ``response`` and ``functions`` are both ``None`` the retry budget
-    was exhausted and the caller owes the client a structured
-    ``SERVER-WORKER-CRASH`` error.
-    """
-
-    response: Optional[Dict[str, Any]] = None
-    functions: Optional[Dict[str, Any]] = None
-    metrics: Any = None
-    attempts: int = 1
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return self.response is None and self.functions is None
-
-
 class _WorkerHandle:
     """One supervised slot's live process and pipe."""
 
@@ -371,7 +339,11 @@ class WorkerSupervisor:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._idle_event = asyncio.Event()
-        self._initargs = shared_table_initargs(self.generator)
+        # Workers record spans per request (_run_request), never process-
+        # wide: a worker-wide recorder would swallow a job's spans.
+        self._initargs = shared_table_initargs(
+            self.generator, flags=(REGISTRY.enabled, False)
+        )
         for slot in range(self.workers):
             self._spawn(slot, first=True)
         if self.probe_interval:
@@ -460,7 +432,7 @@ class WorkerSupervisor:
         handle.pending = None
         future = pending[1]
         if not future.done():
-            future.set_result(message[2:])
+            future.set_result(message[2])
         elif handle.state == "busy":
             # The awaiting request was cancelled (drain) after the job
             # was sent; the worker just proved itself healthy — release.
@@ -591,11 +563,12 @@ class WorkerSupervisor:
     async def submit(
         self,
         request: Dict[str, Any],
-        only: Optional[List[str]] = None,
+        only: List[str],
         timeout: Optional[float] = None,
     ) -> JobOutcome:
-        """Run one job on a healthy worker, re-dispatching on failure up
-        to ``max_retries`` times."""
+        """Compile *only* — the request's result-cache misses — on a
+        healthy worker, re-dispatching on failure up to ``max_retries``
+        times."""
         timeout = self.job_timeout if timeout is None else timeout
         failures: List[str] = []
         attempts = 0
@@ -603,7 +576,7 @@ class WorkerSupervisor:
             attempts += 1
             handle = await self._acquire()
             try:
-                payload = await self._call(
+                outcome = await self._call(
                     handle, "job", timeout, request=request, only=only
                 )
             except WorkerFailure as exc:
@@ -615,14 +588,12 @@ class WorkerSupervisor:
                 self.retries += 1
                 REGISTRY.inc("server.retries")
                 continue
-            response, functions, metrics = payload
             handle.jobs_done += 1
             self._consecutive_failures[handle.slot] = 0
             self._release(handle)
-            return JobOutcome(
-                response=response, functions=functions, metrics=metrics,
-                attempts=attempts, failures=failures,
-            )
+            outcome.attempts = attempts
+            outcome.failures = failures
+            return outcome
 
     # -------------------------------------------------------------- stats
     def snapshot(self) -> Dict[str, Any]:

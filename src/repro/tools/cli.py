@@ -49,14 +49,13 @@ by construction, and the report's exit status asserts exactly that::
     ggcc profile examples/quickstart
     ggcc profile --json --jobs 4 file.c
 
-The compile server keeps constructed tables (and, with ``--jobs``, a
-persistent worker pool) warm in one long-lived process and serves
-concurrent clients over a local socket — bounded admission queue with
-``SERVER-OVERLOAD`` backpressure, per-request deadlines, and a
-content-addressed result cache for repeat traffic.  ``load-test``
-measures it: cold and warm rows of concurrent traffic with p50/p99
-latency and throughput (``--out BENCH_server.json`` regenerates the
-checked-in benchmark)::
+The compile server keeps constructed tables warm in one long-lived
+process and serves concurrent clients over a local socket — bounded
+admission queue with ``SERVER-OVERLOAD`` backpressure, per-request
+deadlines, and a content-addressed result cache for repeat traffic.
+``load-test`` measures it: cold and warm rows of concurrent traffic
+with p50/p99 latency and throughput (``--out BENCH_server.json``
+regenerates the checked-in benchmark)::
 
 With ``--workers N`` the server becomes self-healing: compiles run on
 N supervised warm subprocesses with crash/hang detection, restart with
@@ -64,7 +63,7 @@ backoff, bounded re-dispatch, a circuit breaker, and SIGTERM/SIGINT
 graceful drain.  ``load-test --resilience`` measures throughput under a
 sustained worker-kill barrage next to the undisturbed warm row::
 
-    ggcc serve --socket /tmp/ggcc.sock --jobs 4 --queue-limit 256
+    ggcc serve --socket /tmp/ggcc.sock --queue-limit 256
     ggcc serve --socket /tmp/ggcc.sock --workers 4 --job-timeout 30
     ggcc load-test --clients 50 --requests 4 --out BENCH_server.json
     ggcc load-test --resilience --out BENCH_server.json
@@ -331,9 +330,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggcc serve",
         description="long-lived compile daemon: construct the tables "
-                    "once, keep a worker pool warm, and answer batch "
-                    "compile requests over a local socket with "
-                    "per-request diagnostics, metrics and span export",
+                    "once, keep them warm, and answer batch compile "
+                    "requests over a local socket with per-request "
+                    "diagnostics, metrics and span export",
     )
     parser.add_argument("--socket", metavar="PATH", default=None,
                         help="unix socket path to listen on "
@@ -341,9 +340,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tcp", metavar="HOST:PORT", default=None,
                         help="listen on TCP loopback instead of a unix "
                              "socket (port 0 picks a free port)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="persistent worker-pool width (1 = compile "
-                             "in the server process)")
     parser.add_argument("--workers", type=int, default=0,
                         help="supervised compile subprocesses (0 = the "
                              "single in-process executor); crashed or "
@@ -382,7 +378,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     _add_target_argument(parser)
     parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="matcher drive loop for the server's "
-                             "generator and its pool workers")
+                             "generator and its supervised workers")
     return parser
 
 
@@ -405,7 +401,7 @@ def serve_main(argv: List[str]) -> int:
         print(f"ggcc serve: error: {exc}", file=sys.stderr)
         return 2
     shared = dict(
-        jobs=options.jobs, generator=generator,
+        generator=generator,
         max_requests=options.max_requests,
         queue_limit=options.queue_limit or DEFAULT_QUEUE_LIMIT,
         default_deadline=options.deadline,
@@ -431,7 +427,7 @@ def serve_main(argv: List[str]) -> int:
         )
     server.bind()
     print(f"ggcc serve: listening on {server.address} "
-          f"(target={generator.target.name}, jobs={options.jobs}, "
+          f"(target={generator.target.name}, "
           f"workers={options.workers}, tables {generator.table_source})",
           file=sys.stderr, flush=True)
     try:
@@ -526,8 +522,6 @@ def build_load_test_parser() -> argparse.ArgumentParser:
                         help="functions per generated unit (default 3)")
     parser.add_argument("--statements", type=int, default=6,
                         help="statements per function (default 6)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="server worker-pool width (default 1)")
     parser.add_argument("--queue-limit", type=int, default=None,
                         help="server admission-queue capacity "
                              "(default max(128, 2*clients))")
@@ -560,7 +554,6 @@ def load_test_main(argv: List[str]) -> int:
         requests_per_client=options.requests,
         functions=options.functions,
         statements=options.statements,
-        jobs=options.jobs,
         queue_limit=options.queue_limit,
         deadline=options.deadline,
         seed=options.seed,

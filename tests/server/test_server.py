@@ -83,7 +83,7 @@ def test_oversized_frame_rejected_unread(monkeypatch):
 @pytest.fixture()
 def running_server(tmp_path):
     path = str(tmp_path / "ggcc.sock")
-    server = CompileServer(path=path, jobs=2)
+    server = CompileServer(path=path)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -148,19 +148,18 @@ def test_spans_only_when_requested(running_server):
     traced = client.compile(MULTI_SOURCE, jobs=1, spans=True)
     assert traced["ok"]
     names = {event.get("name") for event in traced["spans"]}
-    assert "compile_program" in names
+    assert "compile" in names  # one per compiled function
     assert "server.request" in names
     warm = client.compile(MULTI_SOURCE, jobs=1, spans=True)
     warm_names = {event.get("name") for event in warm["spans"]}
     assert "server.cache_probe" in warm_names
-    assert "compile_program" not in warm_names
+    assert "compile" not in warm_names
 
 
 def test_resilient_request_ships_diagnostics(tmp_path):
     path = str(tmp_path / "blocker.sock")
     generator = GrahamGlanvilleCodeGenerator(rescue_bridges=False)
-    server = CompileServer(path=path, jobs=1, generator=generator,
-                           max_requests=1)
+    server = CompileServer(path=path, generator=generator, max_requests=1)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -201,12 +200,14 @@ def test_stats_counts_requests(running_server):
     assert stats["ok"]
     assert stats["requests_served"] >= 3
     assert stats["functions_compiled"] >= 1
-    assert stats["pool"] == {"workers": server.pool.jobs, "broken": False}
+    # the compile executor is the in-process backend; there is no pool
+    assert stats["workers"] == 0 and stats["supervisor"] is None
+    assert "pool" not in stats
 
 
 def test_max_requests_stops_server(tmp_path):
     path = str(tmp_path / "bounded.sock")
-    server = CompileServer(path=path, jobs=1, max_requests=2)
+    server = CompileServer(path=path, max_requests=2)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -4,7 +4,9 @@ A compile daemon holds one constructed table set, so it can only ever
 emit for the target those tables describe.  A client that wants a
 different target must get a structured error naming both sides — a
 silent wrong-machine compile through a shared daemon would be the
-service-path version of the cache-aliasing bug.
+service-path version of the cache-aliasing bug.  The check runs before
+the result-cache probe on both backends, so neither a supervised worker
+nor a warm cache can answer for the wrong machine.
 """
 
 import threading
@@ -55,3 +57,26 @@ def test_stats_announce_the_served_target(vax_server):
     with CompileClient(path=vax_server) as client:
         stats = client.stats()
     assert stats["target"] == "vax"
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "supervised"])
+def test_every_backend_refuses_a_wrong_target(tmp_path, gg, workers, warm):
+    path = str(tmp_path / "backend.sock")
+    server = CompileServer(path=path, generator=gg, workers=workers)
+    server.bind()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with CompileClient(path=path, connect_timeout=30) as client:
+            if warm:  # every function of SOURCE is a cache hit now
+                assert client.compile(SOURCE)["ok"]
+            refused = client.compile(SOURCE, target="r32")
+            served = client.compile(SOURCE, target="vax")
+            client.shutdown()
+    finally:
+        thread.join(timeout=30)
+    assert not refused["ok"]
+    assert refused["error"]["type"] == "wrong-target"
+    assert "assembly" not in refused
+    assert served["ok"] and served["assembly"]

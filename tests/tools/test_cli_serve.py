@@ -8,6 +8,8 @@ loop) serving a batch whose assembly must be byte-identical to
 
 import threading
 
+import pytest
+
 from repro.compile import compile_program
 from repro.server import CompileClient
 from repro.tools.cli import build_serve_parser, main
@@ -48,10 +50,13 @@ def test_serve_round_trips_batch_identical_to_serial(tmp_path):
 def test_serve_parser_defaults():
     options = build_serve_parser().parse_args([])
     assert options.socket is None
-    assert options.jobs == 1
+    assert options.workers == 0
     assert options.max_requests is None
     options = build_serve_parser().parse_args(
-        ["--tcp", "127.0.0.1:0", "--jobs", "3"]
+        ["--tcp", "127.0.0.1:0", "--workers", "3"]
     )
     assert options.tcp == "127.0.0.1:0"
-    assert options.jobs == 3
+    assert options.workers == 3
+    # the server has no private pool to size
+    with pytest.raises(SystemExit):
+        build_serve_parser().parse_args(["--jobs", "3"])
