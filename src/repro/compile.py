@@ -62,9 +62,9 @@ from .codegen.recovery import (
 from .diag import codes
 from .diag.diagnostics import CompileError, Diagnostic, DiagnosticSink
 from .frontend.cast import CType
-from .frontend.lower import CompiledProgram, compile_c, lower_program
+from .frontend.lower import CompiledProgram, LowerError
 from .frontend.parser import parse
-from .ir.tree import LabelDef
+from .ir.tree import Forest
 from .obs import (
     absorb_worker_obs_many, obs_flags, span,
     worker_obs_drain, worker_obs_sync,
@@ -99,8 +99,8 @@ class ProgramAssembly:
     #: this target's CPU model.  ``None`` (a hand-built instance) means
     #: the historical default, VAX.
     target: Optional[Target] = None
-    #: Wall-clock seconds of the dynamic phase (front end and static
-    #: table construction excluded).
+    #: Wall-clock seconds of the dynamic phase: each function's lowering
+    #: and compile; parsing and static table construction excluded.
     seconds: float = 0.0
     #: Summed per-function compile seconds (see class docstring).
     cpu_seconds: float = 0.0
@@ -337,10 +337,11 @@ def compile_program(
                 f"{tgt.name!r} does not support it"
             )
 
-    with span("frontend.lower", cat="phase"):
-        # Parse and lower as separate, memoized steps: the incremental
-        # probe derives cache keys from the AST, and a warm recompile
-        # of unchanged source should pay for neither.
+    with span("frontend.parse", cat="phase"):
+        # Parse once (memoized): the incremental probe derives cache
+        # keys from the AST, and each function is lowered only when it
+        # is compiled (:func:`lowered`), so a warm recompile of
+        # unchanged source lowers nothing.
         ast, program = _parsed_program(source, tgt.machine)
 
     started = time.perf_counter()
@@ -375,7 +376,7 @@ def compile_program(
                 )
             else:
                 outcomes = [
-                    compile_with_recovery(gen, program.forest(name))
+                    compile_with_recovery(gen, lowered(program, name))
                     for name in pending
                 ]
             for outcome in outcomes:
@@ -395,7 +396,7 @@ def compile_program(
             for name in program.order:
                 try:
                     out.function_results[name] = pcc_compile(
-                        program.forest(name)
+                        lowered(program, name)
                     )
                 except Exception as exc:
                     failure = out.diagnostics.add(
@@ -459,22 +460,22 @@ def _function_seconds(result: object) -> float:
     return getattr(result, "seconds", 0.0)  # PccResult; FailedFunction: 0
 
 
-#: Parent-side parse/lower memo, the mirror of the workers'
+#: Parent-side parse memo, the mirror of the workers'
 #: ``_WORKER_PROGRAMS``: a long-lived driver (benchmarks, a watch loop)
 #: resubmits the same source text to ``compile_program``, and re-parsing
 #: it dwarfs the incremental probe.
-#: ASTs and lowered programs are read-only downstream, so sharing is
-#: safe; the bound keeps a source-cycling caller from accumulating.
+#: ASTs are read-only downstream, so sharing is safe; the bound keeps a
+#: source-cycling caller from accumulating.
 _PARSED_LIMIT = 8
 _PARSED_PROGRAMS: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
 def _parsed_program(source: str, machine: Optional[Machine] = None) -> tuple:
-    """``(ast, lowered program)`` for *source*, memoized (bounded).
+    """``(ast, on-demand program)`` for *source*, memoized (bounded).
 
     The memo is keyed by ``(source, machine name)`` — two targets must
-    never share a lowered program, even while their frame layouts happen
-    to agree."""
+    never share a program, even while their frame layouts happen to
+    agree."""
     if machine is None:
         machine = resolve_target(None).machine
     key = (source, machine.name)
@@ -483,11 +484,19 @@ def _parsed_program(source: str, machine: Optional[Machine] = None) -> tuple:
         _PARSED_PROGRAMS.move_to_end(key)
         return hit
     ast = parse(source)
-    program = lower_program(ast, machine)
+    program = CompiledProgram(ast, machine)
     while len(_PARSED_PROGRAMS) >= _PARSED_LIMIT:
         _PARSED_PROGRAMS.popitem(last=False)
     _PARSED_PROGRAMS[key] = (ast, program)
     return ast, program
+
+
+def lowered(program: CompiledProgram, name: str) -> Forest:
+    """Function *name*'s forest, lowered now when *program* is on demand:
+    the one place the compile path lowers, so each function is lowered
+    only when it is compiled and its IR is dropped with its compile."""
+    with span("frontend.lower", cat="phase", function=name):
+        return program.forest(name)
 
 
 # ------------------------------------------------- incremental compilation
@@ -624,9 +633,9 @@ def _options_key(options: Dict[str, object]) -> tuple:
 
 
 #: Parent-side publication for fork-started pools: the generator (and
-#: the already-lowered program of the call that created the pool) that
-#: forked workers inherit through copy-on-write memory, so their
-#: initializer adopts the constructed tables without loading anything.
+#: the parsed program of the call that created the pool) that forked
+#: workers inherit through copy-on-write memory, so their initializer
+#: adopts the constructed tables without loading anything.
 #: Spawn-started workers re-import this module and see ``None`` — they
 #: take the content-addressed cache-load path instead.
 _PARENT_STATE: Optional[tuple] = None     # (options key, generator)
@@ -637,7 +646,7 @@ _WORKER_GENERATOR: Optional[tuple] = None  # (options key, generator)
 _WORKER_FLAGS: Tuple[bool, bool] = (False, False)
 _WORKER_PROGRAMS: Dict[str, CompiledProgram] = {}
 
-#: Lowered programs a worker keeps around: the compile server cycles
+#: Parsed programs a worker keeps around: the compile server cycles
 #: through many sources, a one-shot driver uses one.
 _WORKER_PROGRAM_LIMIT = 8
 
@@ -695,11 +704,12 @@ def _pool_initializer(
 
 
 def _worker_program(source: str) -> tuple:
-    """This worker's ``(lowered program, generator)`` for *source*.
+    """This worker's ``(on-demand program, generator)`` for *source*.
 
-    The generator came from the pool initializer; lowering is memoized
+    The generator came from the pool initializer; parsing is memoized
     per source text (bounded), with the pool-creating call's program
-    adopted outright when fork inheritance delivered it.
+    adopted outright when fork inheritance delivered it.  A function is
+    lowered only when the worker compiles it (:func:`lowered`).
     """
     if _WORKER_GENERATOR is None:
         raise RuntimeError("pool worker used before its initializer ran")
@@ -709,7 +719,7 @@ def _worker_program(source: str) -> tuple:
         if _PARENT_PROGRAM is not None and _PARENT_PROGRAM[0] == source:
             program = _PARENT_PROGRAM[1]
         else:
-            program = compile_c(source, generator.machine)
+            program = CompiledProgram(parse(source), generator.machine)
         while len(_WORKER_PROGRAMS) >= _WORKER_PROGRAM_LIMIT:
             _WORKER_PROGRAMS.pop(next(iter(_WORKER_PROGRAMS)))
         _WORKER_PROGRAMS[source] = program
@@ -878,8 +888,9 @@ def plan_batches(
 ) -> List[tuple]:
     """Chunk *names* into contiguous, roughly weight-balanced batches.
 
-    The weight is each function's statement-token count — the direct
-    driver of matcher work — so a giant function does not drag four
+    The weight is each function's AST node count — it tracks the
+    statement trees the matcher works through, and the parent knows it
+    without lowering anything — so a giant function does not drag four
     others into its task while trivial functions each pay full dispatch
     overhead.  Source order is preserved within and across batches, so
     reassembling batch results in dispatch order is already source
@@ -896,13 +907,7 @@ def plan_batches(
     enough to give every remaining slot one function, so the batch count
     always reaches the target when enough names exist.
     """
-    weights = []
-    for name in names:
-        tokens = sum(
-            item.size() for item in program.forest(name).items
-            if not isinstance(item, LabelDef)
-        )
-        weights.append(max(1, tokens))
+    weights = [max(1, program.node_count(name)) for name in names]
     target_batches = max(1, min(len(names), jobs * batches_per_worker))
     remaining = float(sum(weights))
     slots = target_batches
@@ -937,7 +942,7 @@ def _compile_batch_in_worker(task: tuple) -> tuple:
     outcomes = []
     for name in names:
         _chaos_hooks(name)
-        outcome = compile_with_recovery(generator, program.forest(name))
+        outcome = compile_with_recovery(generator, lowered(program, name))
         if isinstance(outcome.result, CompileResult):
             outcome.result = _function_text(name, outcome.result)
         outcomes.append(outcome)
@@ -975,6 +980,10 @@ def _compile_functions_parallel(
     its owner (:func:`_acquire_pool`, the compile server) replaces it.
     A dispatch that raises retires the pool the same way before the
     exception propagates, so it can never leak worker processes.
+
+    A :class:`~repro.frontend.LowerError` from a batch is the source's
+    fault, not the worker's: the pool stays healthy, and the first such
+    error in source order is raised once every batch is in.
     """
     if pool is not None:
         if pool.options_key != _options_key(_generator_options(gen)):
@@ -987,6 +996,7 @@ def _compile_functions_parallel(
     outcomes: Dict[str, LadderOutcome] = {}
     lost: List[str] = []
     payloads: List[object] = []
+    front_end_error: Optional[LowerError] = None
     # the code every unfinished batch is lost under once the pool broke
     broke_with = codes.WORKER_CRASH
 
@@ -1026,6 +1036,9 @@ def _compile_functions_parallel(
                 )
                 pool.terminate_workers()
                 continue
+            except LowerError as exc:
+                front_end_error = front_end_error or exc
+                continue
             except Exception as exc:
                 pool.broken = True
                 METRICS.inc("pool.failures")
@@ -1045,8 +1058,10 @@ def _compile_functions_parallel(
         absorb_worker_obs_many(payloads)
         if pool.broken:
             pool.shutdown(wait=False, cancel_futures=True)
+    if front_end_error is not None:
+        raise front_end_error
     for name in lost:
-        outcomes[name] = compile_with_recovery(gen, program.forest(name))
+        outcomes[name] = compile_with_recovery(gen, lowered(program, name))
     return [outcomes[name] for name in names]
 
 

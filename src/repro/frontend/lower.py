@@ -5,11 +5,21 @@ layout, type computation, and the translation into generic-operator
 expression trees.  It deliberately leaves conversions implicit wherever
 the real front ends did ("the front ends rarely generate the conversion
 operators", section 6.4) — phase 1b and the grammar cope.
+
+One :class:`FunctionLowerer` lowers one routine, on either of two
+schedules.  :func:`lower_program` (and :func:`compile_c`) lowers every
+routine up front and keeps the forests — what the interpreter, the
+oracle and the benchmark's layer-by-layer replay want.  The compile path
+(:func:`repro.compile.compile_program`, its pool workers and the compile
+service) wraps the AST in an on-demand :class:`CompiledProgram` instead:
+a routine is lowered when its forest is asked for and the forest is not
+kept, so an incremental compile lowers only its cache misses and a
+clean build holds one routine's IR at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.ops import Cond, Op
@@ -48,16 +58,49 @@ class Symbol:
     register: str = ""      # for register variables
 
 
-@dataclass
 class CompiledProgram:
-    """All routines of one source file, plus global-data layout."""
+    """All routines of one source file, plus global-data layout.
 
-    forests: Dict[str, Forest] = field(default_factory=dict)
-    globals: Dict[str, CType] = field(default_factory=dict)
-    order: List[str] = field(default_factory=list)
+    ``order`` names the routines in source order and ``globals`` maps
+    each global to its C type.  :meth:`forest` gives one routine's IR.
+    Made directly from an AST, the program is *on demand*: every
+    :meth:`forest` call lowers the routine afresh and keeps nothing.
+    :func:`lower_program` returns one whose forests were all lowered
+    once, up front.  :attr:`forests` holds every forest either way.
+    """
+
+    def __init__(self, program: cast.Program, machine: Machine) -> None:
+        self.globals: Dict[str, CType] = {}
+        self._symbols: Dict[str, Symbol] = {}
+        for decl in program.globals:
+            self._symbols[decl.name] = Symbol(decl.name, decl.ty, "global")
+            self.globals[decl.name] = decl.ty
+        self.order: List[str] = [func.name for func in program.functions]
+        self._functions = {func.name: func for func in program.functions}
+        self._machine = machine
+        self._forests: Optional[Dict[str, Forest]] = None
+
+    def lower(self, func: cast.FuncDef) -> Forest:
+        """Lower *func* against this program's globals and machine."""
+        return FunctionLowerer(func, self._symbols, self._machine).lower()
 
     def forest(self, name: str) -> Forest:
-        return self.forests[name]
+        if self._forests is None:
+            return self.lower(self._functions[name])
+        return self._forests[name]
+
+    @property
+    def forests(self) -> Dict[str, Forest]:
+        """Every routine's forest by name (lowered now, on demand)."""
+        if self._forests is None:
+            return {name: self.lower(func)
+                    for name, func in self._functions.items()}
+        return self._forests
+
+    def node_count(self, name: str) -> int:
+        """AST nodes in routine *name*: its size, known without
+        lowering it."""
+        return cast.node_count(self._functions[name])
 
 
 class FunctionLowerer:
@@ -500,22 +543,19 @@ class FunctionLowerer:
 def lower_program(
     program: cast.Program, machine: Optional[Machine] = None
 ) -> CompiledProgram:
-    """Lower a parsed program into IR forests plus global layout.
+    """Lower a parsed program into IR forests plus global layout, every
+    routine now and in source order.
 
     ``machine`` defaults to the session's resolved target (``REPRO_TARGET``
     or the registry default), never to a hard-wired machine.
     """
     if machine is None:
         machine = resolve_target(None).machine
-    globals_: Dict[str, Symbol] = {}
-    compiled = CompiledProgram()
-    for decl in program.globals:
-        globals_[decl.name] = Symbol(decl.name, decl.ty, "global")
-        compiled.globals[decl.name] = decl.ty
+    compiled = CompiledProgram(program, machine)
+    forests: Dict[str, Forest] = {}
     for func in program.functions:
-        lowerer = FunctionLowerer(func, globals_, machine)
-        compiled.forests[func.name] = lowerer.lower()
-        compiled.order.append(func.name)
+        forests[func.name] = compiled.lower(func)
+    compiled._forests = forests
     return compiled
 
 

@@ -1,4 +1,10 @@
-"""Recursive-descent parser for the C subset."""
+"""Recursive-descent parser for the C subset.
+
+Statements and declarations descend one method per construct; binary
+expressions are parsed by precedence climbing over one table of
+operator levels (:attr:`Parser._PRECEDENCE`), so an operand costs one
+``_binary`` frame however many levels sit above it.
+"""
 
 from __future__ import annotations
 
@@ -25,6 +31,12 @@ _UNSIGNED = {
 }
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+_PREFIX_OPS = {"-", "~", "!", "&", "*"}
+_TYPE_WORDS = {*_BASE_TYPES, "unsigned", "void"}
+
+_IDENT, _INT, _CHAR, _FLOAT = (
+    TokKind.IDENT, TokKind.INT, TokKind.CHAR, TokKind.FLOAT,
+)
 
 
 class ParseError(SyntaxError):
@@ -33,6 +45,15 @@ class ParseError(SyntaxError):
 
 
 class Parser:
+    """A parser over one source text.
+
+    The constructor lexes: ``tokens`` is the whole token list, EOF last.
+    :meth:`parse_program` then drops each top-level declaration's tokens
+    once it is parsed (the list keeps its length; the entries become
+    ``None``), so a unit's whole token list and its whole AST are never
+    live at once.
+    """
+
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
         self.position = 0
@@ -65,17 +86,20 @@ class Parser:
     # ----------------------------------------------------------- program
     def parse_program(self) -> cast.Program:
         program = cast.Program()
+        tokens = self.tokens
         while self.tok.kind is not TokKind.EOF:
+            start = self.position
             base = self._base_type()
             pointer, name = self._declarator_head()
             if self.tok.is_op("("):
                 program.functions.append(self._function(base, pointer, name))
             else:
                 program.globals.extend(self._finish_var_decls(base, pointer, name))
+            tokens[start:self.position] = [None] * (self.position - start)
         return program
 
     def _at_type(self) -> bool:
-        return self.tok.is_kw(*(_BASE_TYPES.keys()), "unsigned", "void")
+        return self.tok.is_kw(*_TYPE_WORDS)
 
     def _base_type(self) -> CType:
         if self.tok.is_kw("void"):
@@ -252,28 +276,35 @@ class Parser:
         return cast.ExprStmt(line=token.line, expr=expr)
 
     # -------------------------------------------------------- expressions
+    # The expression methods index ``self.tokens`` directly: they run
+    # once per operand, and an operator, punctuator or type-keyword text
+    # only ever comes from a token of that kind, so the text alone
+    # decides what a token is.
     def _expression(self) -> cast.Expr:
         return self._assignment()
 
     def _assignment(self) -> cast.Expr:
         left = self._ternary()
-        if self.tok.kind is TokKind.OP and self.tok.text in _ASSIGN_OPS:
-            op = self.advance().text
+        token = self.tokens[self.position]
+        if token.text in _ASSIGN_OPS:
+            self.position += 1
             value = self._assignment()
-            return cast.Assign(line=self.tok.line, op=op, target=left, value=value)
+            return cast.Assign(line=self.tokens[self.position].line,
+                               op=token.text, target=left, value=value)
         return left
 
     def _ternary(self) -> cast.Expr:
         cond = self._binary(0)
-        if self.tok.is_op("?"):
-            self.advance()
+        if self.tokens[self.position].text == "?":
+            self.position += 1
             then = self._expression()
             self.expect_op(":")
             other = self._ternary()
-            return cast.Ternary(line=self.tok.line, cond=cond, then=then,
-                                other=other)
+            return cast.Ternary(line=self.tokens[self.position].line,
+                                cond=cond, then=then, other=other)
         return cond
 
+    #: Binary operators, loosest first: each tuple is one level.
     _PRECEDENCE = [
         ("||",),
         ("&&",),
@@ -286,38 +317,49 @@ class Parser:
         ("+", "-"),
         ("*", "/", "%"),
     ]
+    _LEVELS = {op: level for level, ops in enumerate(_PRECEDENCE)
+               for op in ops}
 
-    def _binary(self, level: int) -> cast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._unary()
-        ops = self._PRECEDENCE[level]
-        left = self._binary(level + 1)
-        while self.tok.is_op(*ops):
-            op = self.advance().text
+    def _binary(self, floor: int) -> cast.Expr:
+        """Precedence climbing: an operand, then every operator of level
+        *floor* or tighter, each left-associative and each taking as its
+        right operand everything that binds tighter than itself.  A
+        ``Binary`` carries the line of the token after its right
+        operand."""
+        tokens = self.tokens
+        levels = self._LEVELS
+        left = self._unary()
+        while True:
+            token = tokens[self.position]
+            level = levels.get(token.text)
+            if level is None or level < floor:
+                return left
+            self.position += 1
             right = self._binary(level + 1)
-            left = cast.Binary(line=self.tok.line, op=op, left=left, right=right)
-        return left
+            left = cast.Binary(line=tokens[self.position].line,
+                               op=token.text, left=left, right=right)
 
     def _unary(self) -> cast.Expr:
-        token = self.tok
-        if token.is_op("-", "~", "!", "&", "*"):
-            self.advance()
-            return cast.Unary(line=token.line, op=token.text,
+        token = self.tokens[self.position]
+        text = token.text
+        if text in _PREFIX_OPS:
+            self.position += 1
+            return cast.Unary(line=token.line, op=text,
                               operand=self._unary())
-        if token.is_op("+"):
-            self.advance()
+        if text == "+":
+            self.position += 1
             return self._unary()
-        if token.is_op("++", "--"):
-            self.advance()
-            return cast.Unary(line=token.line, op=token.text + "pre",
+        if text == "++" or text == "--":
+            self.position += 1
+            return cast.Unary(line=token.line, op=text + "pre",
                               operand=self._unary())
-        if token.is_op("(") and self._is_cast():
-            self.advance()
+        if text == "(" and self._is_cast():
+            self.position += 1
             base = self._base_type()
             pointer = 0
-            while self.tok.is_op("*"):
+            while self.tokens[self.position].text == "*":
                 pointer += 1
-                self.advance()
+                self.position += 1
             self.expect_op(")")
             return cast.Cast(line=token.line,
                              ty=CType(base.base, pointer),
@@ -325,52 +367,56 @@ class Parser:
         return self._postfix()
 
     def _is_cast(self) -> bool:
-        token = self.peek()
-        return token.is_kw(*(_BASE_TYPES.keys()), "unsigned", "void")
+        return self.peek().text in _TYPE_WORDS
 
     def _postfix(self) -> cast.Expr:
+        tokens = self.tokens
         expr = self._primary()
         while True:
-            if self.tok.is_op("["):
-                self.advance()
+            text = tokens[self.position].text
+            if text == "[":
+                self.position += 1
                 index = self._expression()
                 self.expect_op("]")
-                expr = cast.Index(line=self.tok.line, base=expr, index=index)
-            elif self.tok.is_op("(") and isinstance(expr, cast.Ident):
-                self.advance()
+                expr = cast.Index(line=tokens[self.position].line,
+                                  base=expr, index=index)
+            elif text == "(" and isinstance(expr, cast.Ident):
+                self.position += 1
                 args: List[cast.Expr] = []
-                if not self.tok.is_op(")"):
+                if tokens[self.position].text != ")":
                     while True:
                         args.append(self._assignment())
-                        if not self.tok.is_op(","):
+                        if tokens[self.position].text != ",":
                             break
-                        self.advance()
+                        self.position += 1
                 self.expect_op(")")
-                expr = cast.CallExpr(line=self.tok.line, callee=expr.name,
-                                     args=args)
-            elif self.tok.is_op("++", "--"):
-                op = self.advance().text
-                expr = cast.Postfix(line=self.tok.line, op=op, operand=expr)
+                expr = cast.CallExpr(line=tokens[self.position].line,
+                                     callee=expr.name, args=args)
+            elif text == "++" or text == "--":
+                self.position += 1
+                expr = cast.Postfix(line=tokens[self.position].line,
+                                    op=text, operand=expr)
             else:
                 return expr
 
     def _primary(self) -> cast.Expr:
-        token = self.tok
-        if token.kind is TokKind.IDENT:
-            self.advance()
+        token = self.tokens[self.position]
+        kind = token.kind
+        if kind is _IDENT:
+            self.position += 1
             return cast.Ident(line=token.line, name=token.text)
-        if token.kind is TokKind.INT:
-            self.advance()
+        if kind is _INT:
+            self.position += 1
             return cast.IntLit(line=token.line, value=int(token.value))  # type: ignore[arg-type]
-        if token.kind is TokKind.CHAR:
-            self.advance()
+        if kind is _CHAR:
+            self.position += 1
             return cast.IntLit(line=token.line, value=int(token.value),  # type: ignore[arg-type]
                                ty=MachineType.BYTE)
-        if token.kind is TokKind.FLOAT:
-            self.advance()
+        if kind is _FLOAT:
+            self.position += 1
             return cast.FloatLit(line=token.line, value=float(token.value))  # type: ignore[arg-type]
-        if token.is_op("("):
-            self.advance()
+        if token.text == "(":
+            self.position += 1
             expr = self._expression()
             self.expect_op(")")
             return expr

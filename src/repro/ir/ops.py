@@ -117,53 +117,44 @@ class Op(enum.Enum):
     # productions matching them.
     REGHINT = _OpInfo("Reghint", 1, OpClass.STMT)
 
-    # -------------------------------------------------------------- props
-    @property
-    def symbol(self) -> str:
-        """Terminal-symbol base name (no type suffix)."""
-        return self.value.symbol
+    # ------------------------------------------------------------ attributes
+    # Plain member attributes, set once when the member is made: the
+    # arity check in ``Node.__init__`` and every tree walk read them per
+    # node, and an enum property goes through ``.value`` on each read.
+    #: Terminal-symbol base name (no type suffix).
+    symbol: str
+    #: Kids the operator takes; -1 means any number (calls).
+    arity: int
+    klass: OpClass
+    commutative: bool
+    is_leaf: bool
+    #: True for the Rxxx operators introduced by phase 1c.
+    is_reversed: bool
+    #: The plain operator an Rxxx operator stands for (self otherwise).
+    unreversed: "Op"
+    #: The Rxxx twin of a non-commutative operator, if one exists.
+    reversed_form: Optional["Op"]
 
-    @property
-    def arity(self) -> int:
-        return self.value.arity
-
-    @property
-    def klass(self) -> OpClass:
-        return self.value.klass
-
-    @property
-    def commutative(self) -> bool:
-        return self.value.commutative
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value.arity == 0
-
-    @property
-    def is_reversed(self) -> bool:
-        """True for the Rxxx operators introduced by phase 1c."""
-        return self.value.reverse_of is not None
-
-    @property
-    def unreversed(self) -> "Op":
-        """The plain operator an Rxxx operator stands for (self otherwise)."""
-        if self.value.reverse_of is None:
-            return self
-        return _BY_SYMBOL[self.value.reverse_of]
-
-    @property
-    def reversed_form(self) -> Optional["Op"]:
-        """The Rxxx twin of a non-commutative operator, if one exists."""
-        return _REVERSED_FORM.get(self)
+    def __init__(self, info: _OpInfo) -> None:
+        self.symbol = info.symbol
+        self.arity = info.arity
+        self.klass = info.klass
+        self.commutative = info.commutative
+        self.is_leaf = info.arity == 0
+        self.is_reversed = info.reverse_of is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Op.{self.name}"
 
 
-_BY_SYMBOL = {op.value.symbol: op for op in Op}
-_REVERSED_FORM = {
-    op.unreversed: op for op in Op if op.value.reverse_of is not None
-}
+_BY_SYMBOL = {op.symbol: op for op in Op}
+for _op in Op:
+    _op.unreversed = _BY_SYMBOL.get(_op.value.reverse_of, _op)
+    _op.reversed_form = None
+for _op in Op:
+    if _op.is_reversed:
+        _op.unreversed.reversed_form = _op
+del _op
 
 #: Special-constant operators, keyed by value.  The paper turns the constants
 #: 0, 1, 2, 4 and 8 into their own terminal symbols because of the role they

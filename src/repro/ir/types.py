@@ -55,31 +55,25 @@ class MachineType(enum.Enum):
     FLOAT = _TypeInfo("f", 4, TypeKind.FLOAT, True)
     DOUBLE = _TypeInfo("d", 8, TypeKind.FLOAT, True)
 
-    @property
-    def suffix(self) -> str:
-        """Single-character grammar/assembler suffix (``b w l q f d``)."""
-        return self.value.suffix
+    # Plain member attributes, set once when the member is made: tree
+    # walks and the matcher read them per node, and an enum property
+    # goes through ``.value`` on each read.
+    #: Single-character grammar/assembler suffix (``b w l q f d``).
+    suffix: str
+    #: Size in bytes.
+    size: int
+    kind: TypeKind
+    signed: bool
+    is_integer: bool
+    is_float: bool
 
-    @property
-    def size(self) -> int:
-        """Size in bytes."""
-        return self.value.size
-
-    @property
-    def kind(self) -> TypeKind:
-        return self.value.kind
-
-    @property
-    def signed(self) -> bool:
-        return self.value.signed
-
-    @property
-    def is_integer(self) -> bool:
-        return self.value.kind is TypeKind.INT
-
-    @property
-    def is_float(self) -> bool:
-        return self.value.kind is TypeKind.FLOAT
+    def __init__(self, info: _TypeInfo) -> None:
+        self.suffix = info.suffix
+        self.size = info.size
+        self.kind = info.kind
+        self.signed = info.signed
+        self.is_integer = info.kind is TypeKind.INT
+        self.is_float = info.kind is TypeKind.FLOAT
 
     def with_signedness(self, signed: bool) -> "MachineType":
         """The same-size integer type with the requested signedness."""

@@ -19,8 +19,12 @@ Perfetto load directly); ``ggcc --trace-json FILE`` does exactly that.
 
 Records are plain picklable dataclasses, so process-pool workers ship
 their spans back to the parent, which absorbs them under the worker's
-pid (each pid is its own timeline row in the trace viewer; clocks are
-per-process, so cross-pid skew of a few µs is expected and harmless).
+pid (each pid is its own timeline row in the trace viewer).  A record's
+start is an offset from its own recorder's epoch; :meth:`SpanRecorder.drain`
+ships records with absolute ``time.perf_counter()`` starts and
+:meth:`SpanRecorder.absorb` rebases them onto the absorbing recorder's
+epoch.  ``perf_counter`` is one system-wide monotonic clock on Linux, so
+a worker's spans land where they ran on the parent's timeline.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class SpanRecord:
 
     name: str
     cat: str
-    start_us: float      # µs since the recorder's epoch
+    start_us: float      # µs since the recorder's epoch (absolute once drained)
     dur_us: float        # inclusive wall time
     exclusive_us: float  # dur_us minus time spent in child spans
     pid: int
@@ -147,16 +151,25 @@ class SpanRecorder:
         return _ActiveSpan(self, name, cat, args)
 
     def absorb(self, records: List[SpanRecord]) -> None:
-        """Merge records shipped back from a pool worker (their pid field
-        keeps them on their own timeline)."""
+        """Merge records :meth:`drain` shipped back from a pool worker,
+        rebased from absolute ``perf_counter`` time onto this recorder's
+        epoch (their pid field keeps them on their own timeline row)."""
+        shift = self._epoch * 1e6
+        for record in records:
+            record.start_us -= shift
         with self._lock:
             self._records.extend(records)
 
     def drain(self) -> List[SpanRecord]:
         """Take every record collected so far, leaving the recorder empty
-        (what a pool worker ships back after each task)."""
+        (what a pool worker ships back after each task).  The records'
+        starts become absolute ``perf_counter`` times, in µs, for
+        :meth:`absorb` to rebase."""
         with self._lock:
             records, self._records = self._records, []
+        shift = self._epoch * 1e6
+        for record in records:
+            record.start_us += shift
         return records
 
     # --------------------------------------------------------------- queries

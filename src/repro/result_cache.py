@@ -28,8 +28,9 @@ stores through one gate, :meth:`ResultCache.put_healthy`, which refuses
 any function the engine did not compile on its own.  Entries flagged
 ``rescued=True`` are the defense-in-depth for entries written by older
 code or other processes, and :func:`entry_healthy` is the probe-side
-check behind :meth:`ResultCache.probe`, the one hit/miss rule the batch
-driver and the compile service share.
+check behind :meth:`ResultCache.get` and :meth:`ResultCache.probe`, the
+one hit/miss rule — and hit/miss count — the batch driver and the
+compile service share.
 
 Function identity is the *canonical* source — the unparser's rendering
 of the parsed AST, prefixed by the unit's global declarations (globals
@@ -187,16 +188,18 @@ class ResultCache:
 
     # ----------------------------------------------------------- lookup
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached entry for *key* (``assembly``, ``function``,
-        ``cpu_seconds``), or ``None``.  Counts a hit or miss either way
-        — both on the instance and in the metrics registry, so a
-        request's metrics delta shows its own cache traffic."""
+        """The entry for *key* (``assembly``, ``function``,
+        ``cpu_seconds``) when it may answer a healthy compile
+        (:func:`entry_healthy`), else ``None`` — the one probe rule.
+        Counts a hit or miss by that rule — both on the instance and in
+        the metrics registry, so a request's metrics delta shows its own
+        cache traffic, and a refused entry is a miss there too."""
         entry = self._memory.get(key)
         if entry is None and self._store is not None:
             payload = self._store.load(key, kind=RESULT_KIND)
             if payload is not None:
                 entry = self._validated(key, payload)
-        if entry is None:
+        if entry is None or not entry_healthy(entry):
             self.misses += 1
             METRICS.inc("server.result_cache.misses")
             return None
@@ -209,14 +212,13 @@ class ResultCache:
         self, keys: Dict[str, str], names: Iterable[str]
     ) -> Tuple[Dict[str, Dict[str, Any]], List[str]]:
         """Split *names* into hits and misses by the one probe rule every
-        caller shares: a function is a hit when its key has an entry that
-        may answer a healthy compile (:func:`entry_healthy`).  Returns
-        ``(entries by name, misses in the order given)``."""
+        caller shares (:meth:`get`).  Returns ``(entries by name, misses
+        in the order given)``."""
         entries: Dict[str, Dict[str, Any]] = {}
         misses: List[str] = []
         for name in names:
             entry = self.get(keys[name])
-            if entry is None or not entry_healthy(entry):
+            if entry is None:
                 misses.append(name)
             else:
                 entries[name] = entry

@@ -108,7 +108,7 @@ from ..codegen.driver import GrahamGlanvilleCodeGenerator
 from ..compile import _report_table_cache, data_section_of
 from ..diag import codes
 from ..diag.diagnostics import Diagnostic, DiagnosticSink
-from ..frontend import lower_program, parse
+from ..frontend import CompiledProgram, parse
 from ..obs.metrics import REGISTRY, MetricsSnapshot
 from ..obs.spans import (
     SpanRecorder, install_recorder, span, uninstall_recorder,
@@ -887,10 +887,11 @@ class CompileServer:
 
     def _compile_misses(self, probe: _Probe) -> JobOutcome:
         """Step 2 with ``workers=0``: the job body on the executor thread,
-        lowering the probe's AST with this server's generator."""
+        lowering the probe's AST on demand — only the misses — with this
+        server's generator."""
 
         def front_end():
-            program = lower_program(probe.ast, self.generator.machine)
+            program = CompiledProgram(probe.ast, self.generator.machine)
             return program, self.generator
 
         with _recording(probe.recorder):

@@ -66,7 +66,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..codegen.recovery import compile_with_recovery
 from ..compile import (
     _function_seconds, _pool_initializer, _worker_program, check_strict,
-    shared_table_initargs,
+    lowered, shared_table_initargs,
 )
 from ..obs.metrics import REGISTRY
 from ..obs.spans import (
@@ -180,7 +180,7 @@ def compile_misses(
     :class:`~repro.diag.CompileError` when a function needed a rescue,
     exactly as :func:`~repro.compile.compile_program` would."""
     outcomes = [
-        compile_with_recovery(generator, program.forest(name))
+        compile_with_recovery(generator, lowered(program, name))
         for name in names
     ]
     check_strict(next((o.cause for o in outcomes if o.cause), None),
@@ -195,9 +195,10 @@ def _run_request(
 ) -> JobOutcome:
     """The one job body of the compile service, on either backend.
 
-    ``front_end()`` gives the unit's lowered program and the generator
+    ``front_end()`` gives the unit's on-demand program and the generator
     to compile it with: a worker's memoized :func:`_worker_program`, or
-    the server's own generator lowering the probe's AST (``workers=0``).
+    the probe's AST with the server's own generator (``workers=0``).
+    Either way only the functions compiled here are lowered.
     The body compiles *names*, the request's result-cache misses
     (:func:`compile_misses`), inside this job's metrics window.  Spans
     land in the recorder already installed (in process, the request's

@@ -6,10 +6,18 @@ immutable; code generators keep per-compilation state elsewhere).
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.codegen.driver import GrahamGlanvilleCodeGenerator
 from repro.tables.slr import construct_tables
 from repro.vax.grammar_gen import build_vax_grammar
+
+# ``pytest --hypothesis-profile=frontend-reference --hypothesis-seed=0
+# tests/frontend/test_reference.py``: more generated inputs for the
+# lexer and parser to diverge from their references on.
+settings.register_profile(
+    "frontend-reference", max_examples=2000, deadline=None,
+)
 
 
 def pytest_addoption(parser):

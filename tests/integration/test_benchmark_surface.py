@@ -95,3 +95,36 @@ def test_process_pool_equals_the_serial_compile(gen):
     assert pooled.text == serial.text
     assert pooled.data_section() == serial.data_section()
     assert pooled.seconds > 0 and pooled.cpu_seconds > 0
+
+
+# The traced pass times ``Parser(source)`` as the lexer layer and
+# ``lower_program`` as the lowering layer, and reads forests outside
+# every layer; the two checks below pin what those timings rely on.
+def test_the_parser_constructor_lexes_the_whole_unit():
+    from repro.frontend import Parser, tokenize
+
+    parser = Parser(SOURCE)
+    assert isinstance(parser.tokens, list)
+    assert len(parser.tokens) == len(tokenize(SOURCE))
+    assert parser.tokens == tokenize(SOURCE)
+
+
+def test_lower_program_returns_every_forest_lowered(monkeypatch, gg):
+    from repro.frontend import lower_program, parse
+    from repro.frontend.lower import FunctionLowerer
+
+    calls = []
+    lower = FunctionLowerer.lower
+
+    def counted(self):
+        calls.append(self.func.name)
+        return lower(self)
+
+    monkeypatch.setattr(FunctionLowerer, "lower", counted)
+    ast = parse(SOURCE)
+    program = lower_program(ast, gg.machine)
+    during = list(calls)
+    assert during == [func.name for func in ast.functions]
+    forests = [program.forest(name) for name in program.order]
+    assert list(program.forests.values()) == forests
+    assert calls == during  # reading the forests lowers nothing more

@@ -151,6 +151,29 @@ class TestProcessPoolMerge:
         ]
         assert any(e["name"] == "phase.matching" for e in worker_spans)
 
+    def test_worker_spans_share_the_parent_time_base(self, fresh_pool):
+        """Absorbed worker records are rebased onto the parent's epoch:
+        every worker ``compile`` span lies inside the parent's
+        ``compile_program`` span."""
+        from repro.compile import compile_program
+
+        recorder = install_recorder()
+        try:
+            compile_program(SOURCE, jobs=2)
+        finally:
+            uninstall_recorder()
+        trace = recorder.to_chrome_trace()
+        assert validate_trace_events(trace) == []
+        events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        (outer,) = [e for e in events if e["name"] == "compile_program"]
+        compiles = [e for e in events
+                    if e["name"] == "compile" and e["pid"] != recorder.pid]
+        assert len(compiles) == 3
+        for event in compiles:
+            assert event["ts"] >= outer["ts"], event
+            assert event["ts"] + event["dur"] <= \
+                outer["ts"] + outer["dur"], event
+
     def test_resilient_process_path_merges_too(self):
         report, _ = profile_program(
             SOURCE, label="<res>", jobs=2, resilient=True,

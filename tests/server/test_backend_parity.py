@@ -154,6 +154,88 @@ def test_spans_on_every_backend(debridged, tmp_path, workers):
         assert len(workers_seen) == (workers if compiled else 0)
 
 
+def test_worker_spans_sit_between_the_probe_and_the_reply(
+    debridged, tmp_path
+):
+    """A supervised worker's spans are rebased onto the server's time
+    base: they start after the probe ended (the worker ran after it and
+    the pipe hop) and end before the request span does."""
+    (cold,) = serve(tmp_path, [compile_request(UNIT, spans=True)],
+                    generator=debridged, workers=1,
+                    result_cache=new_cache(debridged))
+    assert validate_trace_events({"traceEvents": cold["spans"]}) == []
+    events = [e for e in cold["spans"] if e["ph"] == "X"]
+    request = next(e for e in events if e["name"] == "server.request")
+    probe = next(e for e in events if e["name"] == "server.cache_probe")
+    worker = [e for e in events if e["pid"] != request["pid"]]
+    assert [e for e in worker if e["name"] == "compile"]
+    for event in worker:
+        assert event["ts"] >= probe["ts"] + probe["dur"], event
+        assert event["ts"] + event["dur"] <= \
+            request["ts"] + request["dur"], event
+
+
+#: One function, so a refused entry is the unit's only probe.
+SOLO = "int g;\n" + TWICE
+
+
+def planted_cache(generator):
+    """A cache whose one entry, for SOLO's ``twice``, is flagged
+    ``rescued``."""
+    cache = new_cache(generator)
+    key = cache.keys_for(parse(SOLO))["twice"]
+    cache.put(key, "twice", "\t# degraded\n", tier="hoist", rescued=True)
+    return cache
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_refused_entry_counts_as_a_miss_through_handle(
+    debridged, tmp_path, workers
+):
+    cache = planted_cache(debridged)
+    server = CompileServer(path=str(tmp_path / "refused.sock"),
+                           generator=debridged, workers=workers,
+                           result_cache=cache)
+    response = server.handle(compile_request(SOLO))
+    assert response["ok"] and "# degraded" not in response["assembly"]
+    assert response["result_cache"] == {"hits": 0, "misses": 1}
+    counters = response["metrics"]["counters"]
+    assert counters.get("server.result_cache.hits", 0) == 0
+    assert counters["server.result_cache.misses"] == 1
+    stats = server.handle({"op": "stats"})["result_cache"]
+    assert (stats["hits"], stats["misses"]) == (0, 1)
+
+
+def test_a_refused_entry_counts_as_a_miss_when_served(debridged, tmp_path):
+    cache = planted_cache(debridged)
+    response, stats = serve(
+        tmp_path, [compile_request(SOLO), {"op": "stats"}],
+        generator=debridged, workers=1, result_cache=cache,
+    )
+    assert response["ok"] and "# degraded" not in response["assembly"]
+    assert response["result_cache"] == {"hits": 0, "misses": 1}
+    counters = response["metrics"]["counters"]
+    assert counters.get("server.result_cache.hits", 0) == 0
+    assert counters["server.result_cache.misses"] == 1
+    counted = stats["result_cache"]
+    assert (counted["hits"], counted["misses"]) == (0, 1)
+
+
+def test_a_refused_entry_counts_as_a_miss_in_compile_program(debridged):
+    from repro.obs.metrics import REGISTRY
+
+    cache = planted_cache(debridged)
+    REGISTRY.drain()
+    out = compile_program(SOLO, generator=debridged, incremental=True,
+                          result_cache=cache)
+    counters = REGISTRY.drain().to_dict()["counters"]
+    assert (out.cache_hits, out.cache_misses) == (0, 1)
+    assert counters.get("server.result_cache.hits", 0) == 0
+    assert counters["server.result_cache.misses"] == 1
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"]) == (0, 1)
+
+
 @BACKENDS
 def test_a_rescued_entry_is_a_miss(debridged, tmp_path, workers):
     """An entry flagged ``rescued`` never answers a request: the server
