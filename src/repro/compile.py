@@ -6,23 +6,24 @@ code generator -> one assembly unit with global-data declarations ->
 benchmarks and differential tests use.
 
 Every function compiles through the recovery ladder
-(:func:`repro.codegen.recovery.compile_with_recovery`) on every path —
-serial, pool worker, parent-side recovery — whose tier 0 is the plain
-compile.  ``resilient`` chooses no pipeline: a strict compile (the
-default) contains failures exactly like a resilient one and then raises
-:class:`repro.diag.CompileError` if any function left the engine's tier.
+(:func:`repro.codegen.recovery.compile_with_recovery`) inside one job
+body, :func:`compile_functions`, on every path: serial, a batch worker,
+the compile service's executor thread and its supervised workers.  Its
+tier 0 is the plain compile.  ``resilient`` chooses no pipeline: a
+strict compile (the default) contains failures exactly like a resilient
+one and then raises :class:`repro.diag.CompileError` if any function
+left the engine's tier.
 
 ``compile_program`` accepts ``jobs=`` to compile independent functions
-concurrently: it fans function *batches* over a
-:class:`SharedTablePool` — a process pool whose workers make the
-constructed tables resident exactly once, in the pool initializer (free
-under fork, one content-addressed table-cache load otherwise), so a task
-payload is only the source text plus function names, never tables or
-generator options.  The pool itself is kept alive process-wide and
-reused across calls, which is what makes repeated parallel compiles
-amortize their startup the way a long-lived driver (the benchmarks,
-``ggcc serve``) needs.  A worker that dies or hangs costs its batch a
-recompile in the parent, never the program.
+concurrently: it submits function *batches* to a process-wide
+keep-alive :class:`~repro.server.supervisor.WorkerSupervisor`, the
+worker layer ``ggcc serve`` runs too.  Its workers make the constructed
+tables resident once, in :func:`_pool_initializer` (free under fork, one
+content-addressed table-cache load otherwise), so a job payload is only
+the source text plus function names.  Reusing the keep-alive across
+calls amortizes worker startup.  A worker that dies or hangs costs its
+batch a re-dispatch, and a batch the supervisor gives up on a recompile
+in the parent, never the program.
 
 The reported ``seconds`` cover the *dynamic* phase only — the generator
 (the static phase: grammar plus table construction) is built before the
@@ -33,7 +34,7 @@ Incremental mode (``incremental=True``, ``result_cache_dir=``, or
 result cache (:mod:`repro.result_cache` — the same cache the compile
 server uses) before dispatching anything: a function whose key (source
 hash × table fingerprint × engine × peephole) already has a healthy
-entry skips the pool entirely and is reassembled from cached text, so a
+entry skips the workers entirely and is reassembled from cached text, so a
 one-function edit recompiles one function.  Fresh results are stored on
 the way out — except those the recovery ladder rescued, whose degraded
 assembly must never answer a later healthy compile.
@@ -46,10 +47,6 @@ import gc
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    ProcessPoolExecutor, TimeoutError as FutureTimeoutError,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,14 +59,11 @@ from .codegen.recovery import (
 from .diag import codes
 from .diag.diagnostics import CompileError, Diagnostic, DiagnosticSink
 from .frontend.cast import CType
-from .frontend.lower import CompiledProgram, LowerError
+from .frontend.lower import CompiledProgram
 from .frontend.parser import parse
 from .ir.tree import Forest
-from .obs import (
-    absorb_worker_obs_many, obs_flags, span,
-    worker_obs_drain, worker_obs_sync,
-)
-from .obs.metrics import REGISTRY as METRICS
+from .obs.metrics import REGISTRY as METRICS, set_metrics_enabled
+from .obs.spans import current_recorder, span, uninstall_recorder
 from .pcc.codegen import PccResult, pcc_compile
 from .result_cache import ResultCache, table_fingerprint
 from .sim.assembler import AsmProgram, assemble
@@ -183,13 +177,14 @@ def data_section_of(globals_: Dict[str, CType]) -> str:
 
 @dataclass
 class FunctionText:
-    """A compiled function as a process worker ships it home.
+    """A compiled function as a worker ships it home.
 
     Pickling a full :class:`CompileResult` drags the whole
     ``AssemblyUnit`` — every instruction object, operand tree and
     ordering stat — across the pipe, only for the parent to call
-    ``.text()`` once.  Workers format the assembly *in the worker* and
-    return this flat record instead: the text, plus the compact stats
+    ``.text()`` once.  The job body (:func:`compile_functions`) formats
+    the assembly *in the worker*, right after each function compiles,
+    and keeps this flat record instead: the text, plus the compact stats
     the driver, benchmarks and profile report actually read.  The
     ``times`` property keeps the ``result.times.wall`` accounting shape
     that :func:`_function_seconds` and the benchmarks rely on.
@@ -229,7 +224,7 @@ class CachedFunction:
 
 
 def _function_text(name: str, result: CompileResult) -> FunctionText:
-    """Flatten a worker-side :class:`CompileResult` for the pipe."""
+    """Flatten a :class:`CompileResult` for the pipe."""
     return FunctionText(
         name=name,
         assembly=result.assembly,
@@ -250,7 +245,6 @@ def compile_program(
     parallel: str = "process",
     resilient: bool = False,
     timeout: Optional[float] = None,
-    pool: Optional["SharedTablePool"] = None,
     engine: Optional[str] = None,
     incremental: Optional[bool] = None,
     result_cache: Optional[ResultCache] = None,
@@ -283,26 +277,24 @@ def compile_program(
     / ``out.cache_misses`` and hit functions get tier ``"cache"``.
 
     ``jobs`` > 1 compiles independent functions concurrently ("gg" only)
-    by dispatching function batches over a :class:`SharedTablePool`
-    whose workers hold the tables resident from their initializer on.
-    Results land in source order, so the emitted assembly is
-    byte-identical to ``jobs=1``.  ``parallel`` names the pool kind and
-    accepts only ``"process"``, the one kind there is.
-
-    ``pool`` hands in an already-warm :class:`SharedTablePool` (the
-    compile server does this); the caller keeps ownership and the pool
-    survives the call unless a worker failure marks it ``broken``, when
-    the caller must replace it.  Without one, the process path reuses a
-    process-wide keep-alive pool so consecutive calls skip pool startup.
+    by submitting function batches to a process-wide keep-alive
+    :class:`~repro.server.supervisor.WorkerSupervisor` (width ``jobs``,
+    clamped to the available CPUs) whose workers hold the tables
+    resident from their initializer on; consecutive calls reuse it while
+    the generator options, width and metrics flag match.  Results land
+    in source order, so the emitted assembly is byte-identical to
+    ``jobs=1``.  ``parallel`` names the worker kind and accepts only
+    ``"process"``, the one kind there is.  Call it from sync code: the
+    keep-alive drives its supervisor on a private event loop.
 
     Every function goes through the recovery ladder
     (:mod:`repro.codegen.recovery`) and worker failures are always
-    contained: a function that blocks, or whose pool batch crashes its
-    worker or (``jobs`` > 1 only) outlives ``timeout`` seconds per
-    function, becomes a diagnostic in ``out.diagnostics`` plus a
-    rescued, recompiled or failed entry in ``function_results`` — the
-    rest of the program still compiles.  ``resilient`` only decides what
-    happens next: ``True`` returns the contained result, while the
+    contained: a function that blocks, or whose batch's worker dies or
+    (``jobs`` > 1 only) outlives ``timeout`` seconds per function,
+    becomes a diagnostic in ``out.diagnostics`` plus a rescued,
+    re-dispatched, recompiled or failed entry in ``function_results`` —
+    the rest of the program still compiles.  ``resilient`` only decides
+    what happens next: ``True`` returns the contained result, while the
     default raises :class:`~repro.diag.CompileError` for the first
     function a rescue rung produced or that failed outright.
     """
@@ -372,13 +364,10 @@ def compile_program(
             if jobs > 1 and len(pending) > 1:
                 outcomes = _compile_functions_parallel(
                     gen, source, program, pending, jobs, timeout,
-                    out.diagnostics, pool,
+                    out.diagnostics,
                 )
             else:
-                outcomes = [
-                    compile_with_recovery(gen, lowered(program, name))
-                    for name in pending
-                ]
+                outcomes = compile_functions(gen, program, pending)
             for outcome in outcomes:
                 out.function_results[outcome.name] = outcome.result
                 out.tiers[outcome.name] = outcome.tier
@@ -499,11 +488,39 @@ def lowered(program: CompiledProgram, name: str) -> Forest:
         return program.forest(name)
 
 
+def compile_functions(
+    generator: GrahamGlanvilleCodeGenerator,
+    program: CompiledProgram,
+    names: Sequence[str],
+    flatten: bool = False,
+) -> List[LadderOutcome]:
+    """The one job body: ladder-compile *names* of the on-demand
+    *program* with *generator*, one :class:`LadderOutcome` per name.
+
+    It runs on every path: the serial one (and the parent's recompile of
+    a lost batch) here, the service's executor thread and every
+    supervised worker through :func:`repro.server.supervisor._run_request`.
+    ``flatten`` makes each result a :class:`FunctionText` as soon as its
+    function compiles, so a job never holds a batch's instruction
+    graphs; the serial path keeps :class:`CompileResult` for the profile
+    and listing readers.  Strictness is the caller's
+    (:func:`check_strict`).
+    """
+    outcomes = []
+    for name in names:
+        _chaos_hooks(name)
+        outcome = compile_with_recovery(generator, lowered(program, name))
+        if flatten and isinstance(outcome.result, CompileResult):
+            outcome.result = _function_text(name, outcome.result)
+        outcomes.append(outcome)
+    return outcomes
+
+
 # ------------------------------------------------- incremental compilation
 ENV_INCREMENTAL = "REPRO_INCREMENTAL"
 
 #: Process-wide result caches, one per (table fingerprint, engine,
-#: directory) — the same sharing shape as the keep-alive pool, so
+#: directory) — the same sharing shape as the batch keep-alive, so
 #: repeated ``compile_program(incremental=True)`` calls in one process
 #: hit the in-memory tier without the caller threading a cache through.
 _RESULT_CACHES: Dict[tuple, ResultCache] = {}
@@ -616,7 +633,7 @@ def _store_fresh_results(
         )
 
 
-# ----------------------------------------------------- shared-table pool
+# ---------------------------------------------------------- worker tables
 def _generator_options(gen: GrahamGlanvilleCodeGenerator) -> Dict[str, object]:
     """The constructor options a process worker needs to recreate *gen*."""
     return {
@@ -632,10 +649,10 @@ def _options_key(options: Dict[str, object]) -> tuple:
     return tuple(sorted(options.items()))
 
 
-#: Parent-side publication for fork-started pools: the generator (and
-#: the parsed program of the call that created the pool) that forked
-#: workers inherit through copy-on-write memory, so their initializer
-#: adopts the constructed tables without loading anything.
+#: Parent-side publication for fork-started workers: the generator (and
+#: the parsed program of the call that started the batch keep-alive)
+#: that forked workers inherit through copy-on-write memory, so their
+#: initializer adopts the constructed tables without loading anything.
 #: Spawn-started workers re-import this module and see ``None`` — they
 #: take the content-addressed cache-load path instead.
 _PARENT_STATE: Optional[tuple] = None     # (options key, generator)
@@ -643,22 +660,22 @@ _PARENT_PROGRAM: Optional[tuple] = None   # (source text, CompiledProgram)
 
 #: Worker-side state, installed once per process by _pool_initializer.
 _WORKER_GENERATOR: Optional[tuple] = None  # (options key, generator)
-_WORKER_FLAGS: Tuple[bool, bool] = (False, False)
 _WORKER_PROGRAMS: Dict[str, CompiledProgram] = {}
 
 #: Parsed programs a worker keeps around: the compile server cycles
 #: through many sources, a one-shot driver uses one.
 _WORKER_PROGRAM_LIMIT = 8
 
-#: Chaos hook: a truthy value makes every pool initializer raise —
+#: Chaos hook: a truthy value makes every worker initializer raise —
 #: exactly what a cache miss plus a table-builder failure inside the
-#: worker looks like to the pool (it breaks before any task runs).
+#: worker looks like to the supervisor (the worker dies before any job
+#: runs).
 ENV_CHAOS_INIT_FAIL = "REPRO_CHAOS_POOL_INIT_FAIL"
 
 
 def _pool_initializer(
     options: Dict[str, object],
-    flags: Tuple[bool, bool],
+    metrics_on: bool,
     cache_key: Optional[str] = None,
 ) -> None:
     """Runs once per worker process: make the parse tables resident.
@@ -668,11 +685,14 @@ def _pool_initializer(
     load; (2) load the constructed tables by the content-addressed
     *cache_key* the parent computed, skipping grammar-text regeneration
     and key derivation entirely; (3) cold-build (and store for the next
-    worker).  After this, task payloads never carry options or tables.
+    worker).  After this, job payloads never carry options or tables.
     """
-    global _WORKER_GENERATOR, _WORKER_FLAGS
-    _WORKER_FLAGS = flags
-    worker_obs_sync(flags)
+    global _WORKER_GENERATOR
+    # Each job opens its own metrics window and, when asked, its own
+    # recorder (supervisor._run_request): a fork-inherited one would
+    # swallow the job's spans.
+    set_metrics_enabled(metrics_on)
+    uninstall_recorder()
     if os.environ.get(ENV_CHAOS_INIT_FAIL):
         raise RuntimeError(
             f"{ENV_CHAOS_INIT_FAIL}: injected pool-initializer failure"
@@ -680,7 +700,6 @@ def _pool_initializer(
     key = _options_key(options)
     if _PARENT_STATE is not None and _PARENT_STATE[0] == key:
         _WORKER_GENERATOR = _PARENT_STATE
-        METRICS.inc("pool.init.inherited")
         return
     generator = None
     if cache_key is not None:
@@ -690,10 +709,8 @@ def _pool_initializer(
             generator = GrahamGlanvilleCodeGenerator(
                 bundle=bundle, tables=tables, **options
             )
-            METRICS.inc("pool.init.cache")
     if generator is None:
         generator = GrahamGlanvilleCodeGenerator(**options)
-        METRICS.inc("pool.init.built")
     _WORKER_GENERATOR = (key, generator)
     # The tables (and everything imported) live for the whole worker:
     # move them to the permanent generation so no collection ever scans
@@ -706,13 +723,14 @@ def _pool_initializer(
 def _worker_program(source: str) -> tuple:
     """This worker's ``(on-demand program, generator)`` for *source*.
 
-    The generator came from the pool initializer; parsing is memoized
-    per source text (bounded), with the pool-creating call's program
-    adopted outright when fork inheritance delivered it.  A function is
-    lowered only when the worker compiles it (:func:`lowered`).
+    The generator came from the worker initializer; parsing is memoized
+    per source text (bounded), with the keep-alive-starting call's
+    program adopted outright when fork inheritance delivered it.  A
+    function is lowered only when the worker compiles it
+    (:func:`lowered`).
     """
     if _WORKER_GENERATOR is None:
-        raise RuntimeError("pool worker used before its initializer ran")
+        raise RuntimeError("worker used before its initializer ran")
     generator = _WORKER_GENERATOR[1]
     program = _WORKER_PROGRAMS.get(source)
     if program is None:
@@ -728,92 +746,22 @@ def _worker_program(source: str) -> tuple:
 
 def shared_table_initargs(
     generator: GrahamGlanvilleCodeGenerator,
-    flags: Optional[Tuple[bool, bool]] = None,
-) -> Tuple[Dict[str, object], Tuple[bool, bool], Optional[str]]:
+) -> Tuple[Dict[str, object], bool, Optional[str]]:
     """Publish *generator* for fork copy-on-write adoption and return
-    the ``(options, flags, cache_key)`` triple that
-    :func:`_pool_initializer` wants in a worker process.
-
-    The creation-side half of :class:`SharedTablePool` without the
-    pool: callers that spawn their own processes (the compile service's
-    worker supervisor) get the same warm-table residency — fork
+    the ``(options, metrics flag, cache_key)`` triple that
+    :func:`_pool_initializer` wants in a worker process: fork
     inheritance when available, the content-addressed cache load
     otherwise."""
     global _PARENT_STATE
     options = _generator_options(generator)
-    if flags is None:
-        flags = obs_flags()
     _PARENT_STATE = (_options_key(options), generator)
     cache_key = None
     if generator.cache_outcome is not None:
         cache_key = generator.cache_outcome.key
-    return options, flags, cache_key
-
-
-class SharedTablePool:
-    """A process pool whose workers share one generator's tables.
-
-    Creation publishes the parent's generator for copy-on-write fork
-    inheritance and arms every worker with :func:`_pool_initializer`:
-    under fork the tables are adopted for free, under spawn each worker
-    pays one content-addressed cache load by the key the parent already
-    computed.  Either way the static phase is paid *per worker*, never
-    per task — a task payload is ``(source, names)``, O(source text),
-    independent of table size.
-
-    The pool is reusable across ``compile_program`` calls; ``ggcc
-    serve`` keeps one warm for its whole lifetime.  ``broken`` marks a
-    pool whose workers died (initializer failure, crash, hung-worker
-    terminate) — owners must replace it.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        generator: GrahamGlanvilleCodeGenerator,
-        flags: Optional[Tuple[bool, bool]] = None,
-        program: Optional[tuple] = None,
-    ) -> None:
-        global _PARENT_PROGRAM
-        options, flags, cache_key = shared_table_initargs(generator, flags)
-        self.jobs = jobs
-        self.options_key = _options_key(options)
-        #: Reuse identity: options, width and obs flags must all match.
-        self.key = (self.options_key, jobs, flags)
-        self.broken = False
-        if program is not None:
-            _PARENT_PROGRAM = program
-        self._pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_pool_initializer,
-            initargs=(options, flags, cache_key),
-        )
-
-    def submit(self, fn, *args):
-        return self._pool.submit(fn, *args)
-
-    def terminate_workers(self) -> None:
-        """Hard-stop every worker (the hung-pool escape hatch); the pool
-        is broken afterwards and must be replaced."""
-        self.broken = True
-        for proc in list(getattr(self._pool, "_processes", {}).values()):
-            proc.terminate()
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-    def __enter__(self) -> "SharedTablePool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    return options, METRICS.enabled, cache_key
 
 
 _FALSEY = {"0", "off", "false", "no"}
-
-#: The process-wide keep-alive pool, used by every ``compile_program``
-#: call that brings no pool of its own.
-_KEEPALIVE_POOL: Optional[SharedTablePool] = None
 
 
 def available_cpus() -> int:
@@ -825,7 +773,7 @@ def available_cpus() -> int:
 
 
 def _effective_width(jobs: int) -> int:
-    """Fast-path pool width: ``jobs`` clamped to the available CPUs.
+    """Fast-path worker count: ``jobs`` clamped to the available CPUs.
 
     Compilation is CPU-bound, so workers beyond the CPU count cannot
     add throughput — they only add fork cost, memory, and scheduler
@@ -834,49 +782,118 @@ def _effective_width(jobs: int) -> int:
     return max(1, min(jobs, available_cpus()))
 
 
-def _acquire_pool(
+# ------------------------------------------------------- batch keep-alive
+class _KeepAlive:
+    """The batch driver's :class:`~repro.server.supervisor.WorkerSupervisor`
+    and the private event loop that drives it from sync code; the loop
+    runs only while a call is in flight.  Health probes are off, and a
+    job has a deadline only when the caller gives a ``timeout``."""
+
+    def __init__(
+        self, key: tuple, width: int, gen: GrahamGlanvilleCodeGenerator
+    ) -> None:
+        # Imported here: a serial compile never forks, and must not pay
+        # for the event loop and the service stack.
+        import asyncio
+        from .server.supervisor import WorkerSupervisor
+
+        self.key = key  # generator options, width, metrics flag
+        self.loop = asyncio.new_event_loop()
+        self.supervisor = WorkerSupervisor(
+            width, gen, job_timeout=None, probe_interval=None
+        )
+        try:
+            self.loop.run_until_complete(self.supervisor.start())
+        except BaseException:
+            self.close()
+            raise
+
+    def run(
+        self,
+        request: Dict[str, object],
+        batches: Sequence[tuple],
+        timeout: Optional[float],
+    ) -> list:
+        """One ``JobOutcome`` per batch, in order; a batch's deadline is
+        ``timeout`` per function."""
+        import asyncio
+
+        submits = [
+            self.loop.create_task(self.supervisor.submit(
+                request, list(batch),
+                timeout=None if timeout is None else timeout * len(batch),
+            ))
+            for batch in batches
+        ]
+        gathered = asyncio.gather(*submits)
+        try:
+            return self.loop.run_until_complete(gathered)
+        except BaseException:
+            # close() settles the jobs still in flight; their end is moot
+            gathered.add_done_callback(
+                lambda done: done.cancelled() or done.exception()
+            )
+            raise
+
+    def close(self) -> None:
+        """Cancel whatever is still in flight, stop the supervisor and
+        close the loop; returns once every worker has exited."""
+        import asyncio
+
+        loop = self.loop
+        try:
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True)
+                )
+            loop.run_until_complete(self.supervisor.stop())
+        finally:
+            loop.close()
+
+
+#: The process-wide batch keep-alive.
+_KEEPALIVE: Optional[_KeepAlive] = None
+
+
+def _keepalive(
     gen: GrahamGlanvilleCodeGenerator,
     jobs: int,
     source: str,
     program: CompiledProgram,
-) -> SharedTablePool:
-    """The process-wide keep-alive pool for *gen*.
-
-    Created on first use and reused while the generator options, width
-    and obs flags match — repeated parallel compiles in one process pay
-    pool startup once.  A mismatched or broken pool is retired and
-    replaced.
-    """
-    global _KEEPALIVE_POOL
-    flags = obs_flags()
+) -> _KeepAlive:
+    """The keep-alive for *gen* at width ``jobs``, reused while its key
+    matches, else stopped and rebuilt — this call's ``(source, program)``
+    published for fork adoption first."""
+    global _KEEPALIVE, _PARENT_PROGRAM
     width = _effective_width(jobs)
-    key = (_options_key(_generator_options(gen)), width, flags)
-    pool = _KEEPALIVE_POOL
-    if pool is not None and (pool.key != key or pool.broken):
-        pool.shutdown(wait=False, cancel_futures=True)
-        _KEEPALIVE_POOL = pool = None
-    if pool is None:
-        _KEEPALIVE_POOL = pool = SharedTablePool(
-            width, gen, flags, program=(source, program)
-        )
-    return pool
+    key = (_options_key(_generator_options(gen)), width, METRICS.enabled)
+    if _KEEPALIVE is not None and _KEEPALIVE.key != key:
+        shutdown_worker_pools()
+    if _KEEPALIVE is None:
+        _PARENT_PROGRAM = (source, program)
+        _KEEPALIVE = _KeepAlive(key, width, gen)
+    return _KEEPALIVE
 
 
 def shutdown_worker_pools() -> None:
-    """Retire the process-wide keep-alive pool (tests, atexit)."""
-    global _KEEPALIVE_POOL
-    if _KEEPALIVE_POOL is not None:
-        _KEEPALIVE_POOL.shutdown(wait=False, cancel_futures=True)
-        _KEEPALIVE_POOL = None
+    """Stop the batch keep-alive's supervisor (tests, benchmarks,
+    atexit); returns only after its workers have exited."""
+    global _KEEPALIVE
+    workers, _KEEPALIVE = _KEEPALIVE, None
+    if workers is not None:
+        workers.close()
 
 
 atexit.register(shutdown_worker_pools)
 
 
-#: Dispatch batches per pool worker: enough batches that an uneven
-#: function mix load-balances across workers, few enough that per-task
-#: overhead (payload pickling, future bookkeeping, the per-batch obs
-#: drain) amortizes over several functions.
+#: Dispatch batches per worker: enough batches that an uneven function
+#: mix load-balances across workers, few enough that per-job overhead
+#: (payload pickling, the per-job metrics and span drain) amortizes
+#: over several functions.
 BATCHES_PER_WORKER = 2
 
 
@@ -931,24 +948,6 @@ def plan_batches(
     return batches
 
 
-def _compile_batch_in_worker(task: tuple) -> tuple:
-    """Process-pool body: ladder-compile one batch of functions against
-    the worker-resident generator.  Returns ``(outcomes, obs payload)``:
-    one :class:`LadderOutcome` per function — tier and diagnostics
-    beside a flat :class:`FunctionText` — and the metrics delta and
-    spans drained once per *batch*, not per function."""
-    source, names = task
-    program, generator = _worker_program(source)
-    outcomes = []
-    for name in names:
-        _chaos_hooks(name)
-        outcome = compile_with_recovery(generator, lowered(program, name))
-        if isinstance(outcome.result, CompileResult):
-            outcome.result = _function_text(name, outcome.result)
-        outcomes.append(outcome)
-    return outcomes, worker_obs_drain(_WORKER_FLAGS)
-
-
 def _compile_functions_parallel(
     gen: GrahamGlanvilleCodeGenerator,
     source: str,
@@ -957,131 +956,94 @@ def _compile_functions_parallel(
     jobs: int,
     timeout: Optional[float],
     diagnostics: DiagnosticSink,
-    pool: Optional[SharedTablePool] = None,
 ) -> List[LadderOutcome]:
-    """Fan *names* over a process pool; one outcome per name, in order.
+    """Fan *names* over the keep-alive's workers, one ``(source,
+    names)`` job per weight-balanced batch; one outcome per name, in
+    order.  Each job's metrics delta and spans are absorbed here.
 
-    Workers receive weight-balanced *batches* of function names; their
-    generator was made resident by the pool initializer, so nothing
-    static rides on the tasks.
-
-    Worker failures are contained per batch, and a batch that is lost
-    is recompiled through the ladder in the parent:
-
-    * a batch future that raises — a dead worker or a failed
-      initializer breaks the pool (``BrokenProcessPool``) — gives
-      WORKER-CRASH;
-    * a batch still running after ``timeout`` seconds per function
-      gives WORKER-TIMEOUT, and the workers are terminated.
-
-    Either way the pool is marked broken: a batch that had already
-    finished keeps its worker's result, and every other unread batch is
-    lost with the pool under the same code.  The pool is shut down and
-    its owner (:func:`_acquire_pool`, the compile server) replaces it.
-    A dispatch that raises retires the pool the same way before the
-    exception propagates, so it can never leak worker processes.
-
-    A :class:`~repro.frontend.LowerError` from a batch is the source's
-    fault, not the worker's: the pool stays healthy, and the first such
-    error in source order is raised once every batch is in.
+    Containment is the supervisor's: a batch whose worker dies or
+    outlives ``timeout`` seconds per function is re-dispatched to a
+    restarted worker, and only a batch it gives up on is recompiled in
+    the parent.  A dispatch that raises — ``KeyboardInterrupt``
+    included — stops the keep-alive first, so no worker leaks.  A
+    :class:`~repro.frontend.LowerError` is the source's fault: the
+    keep-alive stays, and the first one in source order is raised once
+    every batch is in.
     """
-    if pool is not None:
-        if pool.options_key != _options_key(_generator_options(gen)):
-            raise ValueError(
-                "pool was created for different generator options"
-            )
-    else:
-        pool = _acquire_pool(gen, jobs, source, program)
-    batches = plan_batches(program, names, pool.jobs)
+    workers = _keepalive(gen, jobs, source, program)
+    batches = plan_batches(program, names, workers.supervisor.workers)
+    recorder = current_recorder()
+    request = {"source": source, "spans": recorder is not None}
+    try:
+        finished = workers.run(request, batches, timeout)
+    except BaseException:
+        shutdown_worker_pools()
+        raise
     outcomes: Dict[str, LadderOutcome] = {}
     lost: List[str] = []
-    payloads: List[object] = []
-    front_end_error: Optional[LowerError] = None
-    # the code every unfinished batch is lost under once the pool broke
-    broke_with = codes.WORKER_CRASH
-
-    def lose(batch: tuple, code: str, why: str, **context) -> None:
-        for name in batch:
-            diagnostics.add(
-                code, f"{why}; recovering the batch in the parent",
-                function=name, **context,
-            )
-        lost.extend(batch)
-
-    try:
-        try:
-            futures = [
-                pool.submit(_compile_batch_in_worker, (source, batch))
-                for batch in batches
-            ]
-        except BrokenProcessPool:  # its workers died while idle
-            pool.broken = True
-            METRICS.inc("pool.failures")
-            futures = [None] * len(batches)
-        METRICS.inc("pool.batches", len(batches))
-        for batch, future in zip(batches, futures):
-            if pool.broken and not _finished(future):
-                lose(batch, broke_with, "the pool broke before it finished")
-                continue
-            limit = None if timeout is None else timeout * len(batch)
-            try:
-                batch_outcomes, payload = future.result(timeout=limit)
-            except FutureTimeoutError:
-                broke_with = codes.WORKER_TIMEOUT
-                lose(
-                    batch, broke_with,
-                    f"worker exceeded the {timeout:.3g}s per-function "
-                    f"timeout on a batch of {len(batch)}",
-                    timeout_seconds=timeout,
-                )
-                pool.terminate_workers()
-                continue
-            except LowerError as exc:
-                front_end_error = front_end_error or exc
-                continue
-            except Exception as exc:
-                pool.broken = True
-                METRICS.inc("pool.failures")
-                lose(batch, codes.WORKER_CRASH,
-                     f"a process-pool batch failed ({exc!r})")
-                continue
-            # Merging spans/metrics is parent-side bookkeeping; doing it
-            # inline per future sits between one worker finishing and
-            # the next result being consumed.  Drain it after the last
-            # batch lands instead.
-            payloads.append(payload)
-            outcomes.update(zip(batch, batch_outcomes))
-    except BaseException:
-        pool.broken = True
-        raise
-    finally:
-        absorb_worker_obs_many(payloads)
-        if pool.broken:
-            pool.shutdown(wait=False, cancel_futures=True)
-    if front_end_error is not None:
-        raise front_end_error
-    for name in lost:
-        outcomes[name] = compile_with_recovery(gen, lowered(program, name))
+    error: Optional[BaseException] = None
+    for batch, job in zip(batches, finished):
+        METRICS.absorb(job.metrics)
+        if recorder is not None:
+            recorder.absorb(job.spans)
+        _report_worker_failures(job, batch, timeout, diagnostics)
+        if job.failed:
+            lost.extend(batch)
+        elif job.error is not None:
+            error = error or job.error
+        else:
+            outcomes.update(zip(batch, job.functions))
+    if error is not None:
+        raise error
+    outcomes.update(zip(lost, compile_functions(gen, program, lost)))
     return [outcomes[name] for name in names]
 
 
-def _finished(future) -> bool:
-    """Whether a batch *future* already holds its worker's result."""
-    return (future is not None and future.done()
-            and future.exception() is None)
+def _report_worker_failures(
+    job,
+    batch: tuple,
+    timeout: Optional[float],
+    diagnostics: DiagnosticSink,
+) -> None:
+    """One WORKER-CRASH (dead worker) or WORKER-TIMEOUT (missed deadline)
+    per failed attempt of *job* and function of its *batch*: a warning
+    when a retry recovered the batch, an error when the parent
+    recompiles it."""
+    if job.failed:
+        severity, then = codes.ERROR, "recovering the batch in the parent"
+    else:
+        severity, then = codes.WARNING, "the batch was re-dispatched"
+    for attempt, kind in enumerate(job.failures, start=1):
+        if kind == "hang":
+            code, context = codes.WORKER_TIMEOUT, {"timeout_seconds": timeout}
+            what = (f"worker exceeded the {timeout:.3g}s per-function "
+                    f"timeout on a batch of {len(batch)}")
+        else:
+            code, context = codes.WORKER_CRASH, {}
+            what = f"worker died on a batch of {len(batch)}"
+        for name in batch:
+            diagnostics.add(
+                code, f"{what} (attempt {attempt}); {then}",
+                severity=severity, function=name, attempt=attempt,
+                kind=kind, **context,
+            )
 
 
 # --------------------------------------------------------------- resilience
 def _chaos_hooks(name: str) -> None:
-    """Fault-injection points for the chaos harness (process workers).
+    """Fault-injection points for the chaos harness, run per function by
+    the job body in worker processes only (in the parent, a lost batch's
+    recompile is the recovery under test).
 
     ``REPRO_CHAOS_KILL_FN=f,g`` hard-kills the worker compiling a listed
     function (``os._exit``, no cleanup — exactly what a segfault looks
-    like to the pool).  ``REPRO_CHAOS_HANG_FN=f:5`` sleeps the listed
-    functions for the given seconds (default 30) to trip the timeout.
-    Workers read the environment they were forked with, so a harness
-    that sets either variable must retire the keep-alive pool first.
+    like to the supervisor).  ``REPRO_CHAOS_HANG_FN=f:5`` sleeps the
+    listed functions for the given seconds (default 30) to trip the
+    timeout.  Workers read the environment they were forked with, so a
+    harness that sets either variable must retire the keep-alive first.
     """
+    if _WORKER_GENERATOR is None:
+        return
     kill = os.environ.get("REPRO_CHAOS_KILL_FN", "")
     if kill and name in kill.split(","):
         os._exit(17)

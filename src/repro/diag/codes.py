@@ -16,7 +16,7 @@ text.  Codes are grouped by prefix:
 ``CACHE-*``
     persistent table-cache integrity events.
 ``WORKER-*``
-    parallel-driver containment events.
+    batch-driver worker containment, one per failed attempt.
 ``SERVER-*``
     compile-service admission control and self-healing: queue-full
     backpressure, expired request deadlines, supervised-worker crash
@@ -120,16 +120,18 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
     ),
     WORKER_TIMEOUT: (
         ERROR,
-        "a process-pool batch outlived its timeout (the per-function "
-        "timeout times its function count); the workers were stopped "
-        "and the batch, with every other unfinished one, recompiled in "
-        "the parent",
+        "a batch outlived its deadline (the per-function timeout times "
+        "its function count); its worker was killed and restarted and "
+        "the batch re-dispatched — a warning when a retry recovered it, "
+        "an error when it was recompiled in the parent; other batches "
+        "keep their workers",
     ),
     WORKER_CRASH: (
         ERROR,
-        "a process-pool worker died (a crash, or a failed initializer) "
-        "or a batch raised; the batch, with every other unfinished one, "
-        "was recompiled in the parent",
+        "a batch's worker died (a crash, or a failed initializer); the "
+        "worker was restarted and the batch re-dispatched — a warning "
+        "when a retry recovered it, an error when it was recompiled in "
+        "the parent",
     ),
     FN_FAILED: (
         ERROR,

@@ -2,7 +2,7 @@
 
 :mod:`repro.fuzz.inject` plants miscompilation bugs to prove the oracle
 can catch them; this module instead breaks the pipeline's *machinery* —
-packed tables, the persistent cache, the bridge productions, the pool
+packed tables, the persistent cache, the bridge productions, the batch
 workers — and asserts the resilience invariant of the recovery ladder:
 
     every compile ends in either output the IR interpreter agrees with
@@ -31,10 +31,12 @@ Scenarios
     surface as GG-BLOCK-SYN and recover via hoisting or PCC; output must
     still match.
 ``worker-kill`` / ``worker-hang``
-    Kill or hang one process-pool worker via the ``REPRO_CHAOS_*`` env
-    hooks.  The rest of the program must compile, the lost batch must
-    be recovered in the parent (WORKER-CRASH / WORKER-TIMEOUT), and
-    output must still match.
+    Kill or hang the worker compiling one function via the
+    ``REPRO_CHAOS_*`` env hooks.  The fault fires on every attempt, so
+    the supervisor restarts the worker, re-dispatches the batch, and
+    gives up; the rest of the program must compile on its own workers,
+    the lost batch must be recovered in the parent (WORKER-CRASH /
+    WORKER-TIMEOUT per attempt), and output must still match.
 """
 
 from __future__ import annotations
@@ -311,12 +313,12 @@ def _pick_victim(source: str, rng: random.Random) -> str:
 def _run_with_env(
     source: str, variable: str, value: str, timeout: Optional[float]
 ) -> ProgramAssembly:
-    """Compile on the process pool with a chaos variable set.
+    """Compile on the batch workers with a chaos variable set.
 
-    Pool workers read the environment they were forked with, so the
-    keep-alive pool is retired twice: once after arming the variable
-    (or an earlier pool would never see the fault) and once after
-    restoring it (or later compiles would run in armed workers)."""
+    Workers read the environment they were forked with, so the
+    keep-alive is retired twice: once after arming the variable (or
+    earlier workers would never see the fault) and once after restoring
+    it (or later compiles would run in armed workers)."""
     saved = os.environ.get(variable)
     os.environ[variable] = value
     shutdown_worker_pools()

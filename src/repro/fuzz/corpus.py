@@ -5,13 +5,15 @@ Every divergence the fuzzer finds is minimized and persisted under
 
 * ``repro.c``   — the minimized source, ready for any pipeline;
 * ``meta.json`` — divergence class, oracle detail, originating seed and
-  case number, statement count.
+  case number, statement count, and the target the finding was made on
+  (an entry without one is a VAX finding).
 
 The fingerprint is content-addressed (sha256 of the minimized source
-plus the divergence class), so re-finding the same bug is a no-op and
-two distinct bugs that happen to shrink to similar programs stay
-distinct.  :meth:`Corpus.write_regression_test` regenerates the pytest
-module that replays every entry through the three-way oracle; once the
+plus the divergence class, plus the target when it is not VAX), so
+re-finding the same bug is a no-op and two distinct bugs that happen to
+shrink to similar programs stay distinct.
+:meth:`Corpus.write_regression_test` regenerates the pytest module that
+replays every entry through the oracle on its own target; once the
 underlying bug is fixed the replay expects full agreement, turning each
 past finding into a permanent regression test.
 """
@@ -41,6 +43,7 @@ import pathlib
 
 import pytest
 
+from repro.fuzz.corpus import Corpus
 from repro.fuzz.oracle import run_oracle
 
 CORPUS = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
@@ -55,21 +58,25 @@ _TEST_FOOTER = ''']
 def test_corpus_reproducer_agrees(fingerprint):
     if not FINGERPRINTS:
         pytest.skip("fuzz corpus is empty")
-    source = (CORPUS / fingerprint / "repro.c").read_text()
-    report = run_oracle(source)
+    entry = Corpus(CORPUS).entry(fingerprint)
+    report = run_oracle(entry.source, target=entry.target)
     assert report.ok, (
-        f"corpus reproducer {fingerprint} diverges again: "
-        f"{report.divergence} ({report.detail})"
+        f"corpus reproducer {fingerprint} ({entry.target}) diverges "
+        f"again: {report.divergence} ({report.detail})"
     )
 '''
 
 
-def fingerprint(source: str, divergence: str) -> str:
-    """Stable content address for one finding."""
+def fingerprint(source: str, divergence: str, target: str = "vax") -> str:
+    """Stable content address for one finding.  A VAX finding hashes
+    exactly as before targets were recorded, so old entries keep their
+    names."""
     digest = hashlib.sha256()
     digest.update(divergence.encode())
     digest.update(b"\0")
     digest.update(source.encode())
+    if target != "vax":
+        digest.update(b"\0" + target.encode())
     return digest.hexdigest()[:16]
 
 
@@ -87,6 +94,11 @@ class CorpusEntry:
     source: str
     meta: dict
 
+    @property
+    def target(self) -> str:
+        """The target the finding was made on (VAX when unrecorded)."""
+        return self.meta.get("target") or "vax"
+
 
 class Corpus:
     """The on-disk reproducer store."""
@@ -103,32 +115,37 @@ class Corpus:
             if (entry / "repro.c").is_file()
         )
 
+    def entry(self, name: str) -> CorpusEntry:
+        directory = self.root / name
+        meta_path = directory / "meta.json"
+        meta = (json.loads(meta_path.read_text())
+                if meta_path.is_file() else {})
+        return CorpusEntry(
+            fingerprint=name,
+            source=(directory / "repro.c").read_text(),
+            meta=meta,
+        )
+
     def entries(self) -> Iterator[CorpusEntry]:
         for name in self.fingerprints():
-            directory = self.root / name
-            meta_path = directory / "meta.json"
-            meta = (json.loads(meta_path.read_text())
-                    if meta_path.is_file() else {})
-            yield CorpusEntry(
-                fingerprint=name,
-                source=(directory / "repro.c").read_text(),
-                meta=meta,
-            )
+            yield self.entry(name)
 
     def __len__(self) -> int:
         return len(self.fingerprints())
 
     # ------------------------------------------------------------- writing
     def record(self, source: str, divergence: str, *,
+               target: str = "vax",
                detail: str = "", seed: Optional[int] = None,
                case: Optional[int] = None,
                statements: Optional[int] = None) -> str:
-        """Persist one minimized finding; returns its fingerprint.
+        """Persist one minimized finding made on *target*; returns its
+        fingerprint.
 
         Idempotent: an already-recorded fingerprint is left untouched,
         so replay metadata (and any hand-added notes) survive re-runs.
         """
-        name = fingerprint(source, divergence)
+        name = fingerprint(source, divergence, target)
         directory = self.root / name
         if (directory / "repro.c").is_file():
             return name
@@ -141,6 +158,7 @@ class Corpus:
             "seed": seed,
             "case": case,
             "statements": statements,
+            "target": target,
         }
         (directory / "meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n"

@@ -224,7 +224,7 @@ class MetricsRegistry:
             )
 
     def drain(self) -> MetricsSnapshot:
-        """Snapshot then reset — the per-task delta a pool worker ships."""
+        """Snapshot then reset — the per-job delta a worker ships."""
         snap = self.snapshot()
         self.reset()
         return snap

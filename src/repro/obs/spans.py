@@ -151,7 +151,7 @@ class SpanRecorder:
         return _ActiveSpan(self, name, cat, args)
 
     def absorb(self, records: List[SpanRecord]) -> None:
-        """Merge records :meth:`drain` shipped back from a pool worker,
+        """Merge records :meth:`drain` shipped back from a worker,
         rebased from absolute ``perf_counter`` time onto this recorder's
         epoch (their pid field keeps them on their own timeline row)."""
         shift = self._epoch * 1e6
@@ -162,7 +162,7 @@ class SpanRecorder:
 
     def drain(self) -> List[SpanRecord]:
         """Take every record collected so far, leaving the recorder empty
-        (what a pool worker ships back after each task).  The records'
+        (what a worker ships back after each job).  The records'
         starts become absolute ``perf_counter`` times, in µs, for
         :meth:`absorb` to rebase."""
         with self._lock:

@@ -479,12 +479,13 @@ class PccCodeGenerator:
         r_text = self._expr(right, want=node.ty)
         mask = self._alloc()
         self._emit(f"mcom{suffix} {r_text},{mask}")
-        dest = self._alloc()
-        self._emit(f"bic{suffix}3 {mask},{l_text},{dest}")
-        self._free_reg(mask)
-        self._free_reg(l_text)
+        # The complemented mask becomes the result: holding the right
+        # operand, the left operand and the mask while allocating a
+        # fourth register runs a deep tree out of registers.
         self._free_reg(r_text)
-        return dest
+        self._emit(f"bic{suffix}3 {mask},{l_text},{mask}")
+        self._free_reg(l_text)
+        return mask
 
     # ----------------------------------------------------------- operands
     def _operand_if_addressable(self, node: Node) -> Optional[str]:

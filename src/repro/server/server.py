@@ -12,12 +12,13 @@ Every compile request takes one path, whatever the backend:
    its result-cache keys once and split hits from misses by the cache's
    one probe rule (a disabled cache misses everything).
 2. **Compile the misses** with the one job body
-   (:func:`repro.server.supervisor._run_request`): on the executor
+   (:func:`repro.compile.compile_functions`, wrapped by
+   :func:`repro.server.supervisor._run_request`): on the executor
    thread (``workers=0``), or in a supervised worker subprocess
    (``workers=N``).  A unit whose every function hits skips this step,
    so full hits never cross a pipe.
-3. **Assemble** (executor thread): the one response builder, and the
-   one place fresh results are stored.
+3. **Assemble** (executor thread): the strictness check, the one
+   response builder, and the one place fresh results are stored.
 
 The service is an asyncio accept loop built for concurrent load:
 
@@ -105,9 +106,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
-from ..compile import _report_table_cache, data_section_of
+from ..compile import (
+    _function_seconds, _report_table_cache, check_strict, data_section_of,
+)
 from ..diag import codes
-from ..diag.diagnostics import Diagnostic, DiagnosticSink
+from ..diag.diagnostics import CompileError, Diagnostic, DiagnosticSink
 from ..frontend import CompiledProgram, parse
 from ..obs.metrics import REGISTRY, MetricsSnapshot
 from ..obs.spans import (
@@ -814,7 +817,7 @@ class CompileServer:
         if not isinstance(probe, _Probe):
             return probe  # refused before any compile
         if not probe.misses:
-            outcome = JobOutcome(functions={})
+            outcome = JobOutcome(functions=[])
         elif self.supervisor is not None:
             outcome = await self.supervisor.submit(request, only=probe.misses)
         else:
@@ -900,11 +903,13 @@ class CompileServer:
     def _assemble(
         self, probe: _Probe, outcome: JobOutcome
     ) -> Dict[str, Any]:
-        """Step 3, the one response builder and the one result-cache store
-        site: the hits' cached texts and the misses' fresh records, in
-        source order under the unit's data section — or the error that
-        ended the job.  Diagnostics list worker crashes and retries
-        first, then the generator's table-cache repairs, then each fresh
+        """Step 3, the strictness check, the one response builder and the
+        one result-cache store site: the hits' cached texts and the
+        misses' fresh outcomes, in source order under the unit's data
+        section — or the error that ended the job.  A strict request
+        whose miss needed a rescue answers ``CompileError`` and stores
+        nothing.  Diagnostics list worker crashes and retries first,
+        then the generator's table-cache repairs, then each fresh
         function's own.  Closes the request's metrics and span
         windows."""
         with _recording(probe.recorder):
@@ -922,12 +927,21 @@ class CompileServer:
                 )
             elif outcome.error is not None:
                 response = _error(
-                    outcome.error["type"], outcome.error["message"]
+                    type(outcome.error).__name__, str(outcome.error)
                 )
             else:
-                response = self._compiled_unit(
-                    probe, outcome.functions, diagnostics
-                )
+                try:
+                    check_strict(
+                        next((o.cause for o in outcome.functions
+                              if o.cause), None),
+                        bool(probe.request.get("resilient", False)),
+                    )
+                except CompileError as exc:
+                    response = _error(type(exc).__name__, str(exc))
+                else:
+                    response = self._compiled_unit(
+                        probe, outcome.functions, diagnostics
+                    )
             if "error" in response:
                 self.errors += 1
             response["op"] = "compile"
@@ -950,28 +964,30 @@ class CompileServer:
     def _compiled_unit(
         self,
         probe: _Probe,
-        records: Dict[str, Dict[str, Any]],
+        outcomes: List[Any],
         diagnostics: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
         """The body of a compiled unit's response: cached texts for the
-        hits, the fresh *records* (:func:`~repro.server.supervisor._record`)
-        for the misses, each stored through the healthy-only gate, and
-        their diagnostics appended to *diagnostics*."""
+        hits, the fresh *outcomes* (one
+        :class:`~repro.codegen.recovery.LadderOutcome` per miss) for the
+        misses, each stored through the healthy-only gate, and their
+        diagnostics appended to *diagnostics*."""
         texts = {name: hit["assembly"] for name, hit in probe.entries.items()}
         tiers = dict.fromkeys(probe.entries, "cache")
-        for name, info in records.items():
-            texts[name] = info["assembly"]
-            tiers[name] = info["tier"]
-            diagnostics.extend(info["diagnostics"])
+        for outcome in outcomes:
+            name, result = outcome.name, outcome.result
+            texts[name] = result.assembly
+            tiers[name] = outcome.tier
+            diagnostics.extend(d.to_dict() for d in outcome.diagnostics)
             if self.result_cache is not None:
                 self.result_cache.put_healthy(
-                    probe.keys[name], name, info["assembly"],
-                    tier=info["tier"],
-                    diagnosed=bool(info["diagnostics"]),
-                    cpu_seconds=info["cpu_seconds"],
-                    instructions=info["instructions"],
+                    probe.keys[name], name, result.assembly,
+                    tier=outcome.tier,
+                    diagnosed=bool(outcome.diagnostics),
+                    cpu_seconds=_function_seconds(result),
+                    instructions=result.instruction_count,
                 )
-        self.functions_compiled += len(records)
+        self.functions_compiled += len(outcomes)
         names = probe.names
         globals_ = {decl.name: decl.ty for decl in probe.ast.globals}
         failed = [name for name in names if tiers[name] == "failed"]
@@ -985,7 +1001,7 @@ class CompileServer:
             "tiers": {name: tiers[name] for name in names},
             "seconds": time.perf_counter() - probe.started,
             "cpu_seconds": sum(
-                info["cpu_seconds"] for info in records.values()
+                _function_seconds(outcome.result) for outcome in outcomes
             ),
         }
 

@@ -1,22 +1,21 @@
-"""Supervised compile-worker subsystem for the compile service.
+"""Supervised compile workers: the one process-worker layer.
 
-An unsupervised service compiles on one in-process thread: one hung or
-crashed compile stalls the whole service.  This module removes that
-single point of failure.  A :class:`WorkerSupervisor` owns ``N`` warm
-worker *subprocesses* — each runs the same
-:func:`repro.compile._pool_initializer` a :class:`SharedTablePool`
-worker runs, so constructed tables arrive by fork copy-on-write (or one
-content-addressed cache load under spawn) and stay resident for the
-worker's life — and makes the service self-healing around them:
+A :class:`WorkerSupervisor` owns ``N`` warm worker *subprocesses* — each
+runs :func:`repro.compile._pool_initializer` once, so constructed tables
+arrive by fork copy-on-write (or one content-addressed cache load under
+spawn) and stay resident for the worker's life — and makes its owner
+self-healing around them.  The owner is the compile service (``ggcc
+serve --workers N``) or the batch driver's keep-alive
+(``compile_program(jobs=N)``, probes off, no deadline unless given):
 
 * **Crash detection.**  A worker death (segfault, ``os._exit``, OOM
   kill) surfaces as EOF on its pipe; the in-flight job fails with a
   :class:`WorkerFailure` of kind ``crash`` and the worker slot is
   restarted.
-* **Hang detection.**  Every job carries a deadline
-  (``job_timeout``); a worker that doesn't answer in time is killed
-  outright (kind ``hang``) — a hung compile can't be interrupted, but
-  it can be contained to one subprocess.
+* **Hang detection.**  A job carries a deadline (``job_timeout``, or
+  the caller's per-job ``timeout``); a worker that doesn't answer in
+  time is killed outright (kind ``hang``) — a hung compile can't be
+  interrupted, but it can be contained to one subprocess.
 * **Automatic restart with exponential backoff.**  A dead slot respawns
   after ``backoff_initial * 2**consecutive_failures`` seconds (capped),
   so a crash-looping initializer can't busy-spin the host; one
@@ -30,11 +29,13 @@ worker's life — and makes the service self-healing around them:
   (liveness + round-trip); a silent worker is retired and restarted
   before a real request finds it.
 
-A job is one request's result-cache misses, and its body,
-:func:`_run_request`, is the same whichever backend runs it: a worker
-here, or the server's executor thread with ``workers=0``.  The server
-validates, probes and assembles in the parent either way, so a request
-whose every function hits never crosses a pipe.
+A job is some function names of one source — a request's result-cache
+misses, or one batch — compiled by the one job body
+(:func:`repro.compile.compile_functions`, wrapped by
+:func:`_run_request`) in a worker here or, with the server's
+``workers=0``, on its executor thread.  The owner probes, checks
+strictness and assembles in the parent, so a request whose every
+function hits never crosses a pipe.
 
 :class:`CircuitBreaker` is the admission-side half: it tracks failure
 events per *class* (``crash`` for worker deaths and hangs, ``deadline``
@@ -63,10 +64,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..codegen.recovery import compile_with_recovery
 from ..compile import (
-    _function_seconds, _pool_initializer, _worker_program, check_strict,
-    lowered, shared_table_initargs,
+    _pool_initializer, _worker_program, compile_functions,
+    shared_table_initargs,
 )
 from ..obs.metrics import REGISTRY
 from ..obs.spans import (
@@ -90,6 +90,11 @@ RESTART_BACKOFF_CAP = 2.0
 DEFAULT_PROBE_INTERVAL = 5.0
 PROBE_TIMEOUT = 5.0
 
+#: How often a reap polls for a worker's exit, and how long it waits
+#: before killing one.
+REAP_POLL = 0.01
+REAP_GRACE = 5.0
+
 #: Service-level chaos hooks: each names a marker file consumed
 #: (unlinked) by the first worker that sees it at job receipt.
 ENV_KILL_ONCE = "REPRO_CHAOS_SERVE_KILL_ONCE"
@@ -112,20 +117,20 @@ class WorkerFailure(Exception):
 
 @dataclass
 class JobOutcome:
-    """One compile job's result, from either backend.
+    """One compile job's result, from either side.
 
-    ``functions`` holds one :func:`_record` per compiled miss; ``error``
-    is the ``{"type", "message"}`` of a job that raised (a strict
-    request's ``CompileError``, a lowering error); ``metrics`` is the
-    job's registry delta and ``spans`` the span records a worker
-    recorded.  ``failures`` lists the kind of every failed attempt —
-    when ``functions`` and ``error`` are both ``None`` the retry budget
-    was exhausted and the caller owes the client a structured
-    ``SERVER-WORKER-CRASH`` error.
+    ``functions`` holds one :class:`~repro.codegen.recovery.LadderOutcome`
+    per compiled name, in order; ``error`` is the exception a job raised
+    (a :class:`~repro.frontend.LowerError`), shipped as itself;
+    ``metrics`` is the job's registry delta and ``spans`` the span
+    records a worker recorded.  ``failures`` lists the kind of every
+    failed attempt — when ``functions`` and ``error`` are both ``None``
+    the retry budget was exhausted and the owner recovers the job its
+    own way.
     """
 
-    functions: Optional[Dict[str, Any]] = None
-    error: Optional[Dict[str, str]] = None
+    functions: Optional[List[Any]] = None
+    error: Optional[BaseException] = None
     metrics: Any = None
     spans: List[Any] = field(default_factory=list)
     attempts: int = 1
@@ -157,55 +162,23 @@ def _service_chaos_hooks() -> None:
             time.sleep(float(seconds or 30.0))
 
 
-def _record(result: Any, tier: str, diagnostics: Any) -> Dict[str, Any]:
-    """One compiled function as the service ships, reports and stores
-    it: its text and stats, ladder tier and diagnostics."""
-    return {
-        "assembly": result.assembly,
-        "cpu_seconds": _function_seconds(result),
-        "instructions": result.instruction_count,
-        "tier": tier,
-        "diagnostics": [diag.to_dict() for diag in diagnostics],
-    }
-
-
-def compile_misses(
-    generator,
-    program,
-    names: List[str],
-    resilient: bool,
-) -> Dict[str, Dict[str, Any]]:
-    """Ladder-compile a unit's result-cache misses: one :func:`_record`
-    per name.  A strict request raises
-    :class:`~repro.diag.CompileError` when a function needed a rescue,
-    exactly as :func:`~repro.compile.compile_program` would."""
-    outcomes = [
-        compile_with_recovery(generator, lowered(program, name))
-        for name in names
-    ]
-    check_strict(next((o.cause for o in outcomes if o.cause), None),
-                 resilient)
-    return {o.name: _record(o.result, o.tier, o.diagnostics) for o in outcomes}
-
-
 def _run_request(
     request: Dict[str, Any],
     names: List[str],
     front_end: Callable[[], Tuple[Any, Any]],
 ) -> JobOutcome:
-    """The one job body of the compile service, on either backend.
+    """One job on either side: the job body over *names*
+    (:func:`~repro.compile.compile_functions`, results flattened) inside
+    this job's metrics window.
 
     ``front_end()`` gives the unit's on-demand program and the generator
     to compile it with: a worker's memoized :func:`_worker_program`, or
     the probe's AST with the server's own generator (``workers=0``).
-    Either way only the functions compiled here are lowered.
-    The body compiles *names*, the request's result-cache misses
-    (:func:`compile_misses`), inside this job's metrics window.  Spans
-    land in the recorder already installed (in process, the request's
-    own); a ``"spans"`` request in a worker gets a fresh recorder whose
-    records ship home in the outcome.  Never raises: a failure — a
-    strict request's :class:`~repro.diag.CompileError` included — is
-    the outcome's ``error``.
+    Either way only the functions compiled here are lowered.  Spans land
+    in the recorder already installed (in process, the request's own); a
+    ``"spans"`` request in a worker gets a fresh recorder whose records
+    ship home in the outcome.  Never raises: an exception is the
+    outcome's ``error``.
     """
     fresh = current_recorder() is None and bool(request.get("spans"))
     recorder = install_recorder() if fresh else None
@@ -213,11 +186,11 @@ def _run_request(
     outcome = JobOutcome()
     try:
         program, generator = front_end()
-        outcome.functions = compile_misses(
-            generator, program, names, bool(request.get("resilient", False))
+        outcome.functions = compile_functions(
+            generator, program, names, flatten=True
         )
-    except Exception as exc:  # the worker must outlive any request
-        outcome.error = {"type": type(exc).__name__, "message": str(exc)}
+    except Exception as exc:  # the worker must outlive any job
+        outcome.error = exc
     finally:
         outcome.metrics = REGISTRY.drain()
         if recorder is not None:
@@ -229,7 +202,7 @@ def _run_request(
 def _worker_main(
     conn,
     options: Dict[str, object],
-    flags: Tuple[bool, bool],
+    metrics_on: bool,
     cache_key: Optional[str],
 ) -> None:
     """Worker subprocess body: warm the tables once, then serve jobs
@@ -241,7 +214,7 @@ def _worker_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     try:
-        _pool_initializer(options, flags, cache_key)
+        _pool_initializer(options, metrics_on, cache_key)
     except BaseException:
         os._exit(_EXIT_INIT)
     while True:
@@ -273,6 +246,20 @@ def _worker_main(
 
 
 # ------------------------------------------------------------ parent side
+async def _reap(processes: List[Any], grace: float = REAP_GRACE) -> None:
+    """Wait for *processes* to exit — polling, so a slow exit never
+    stalls the loop and no thread is needed — killing any still alive
+    after *grace* seconds."""
+    deadline = time.monotonic() + grace
+    while (any(p.is_alive() for p in processes)
+           and time.monotonic() < deadline):
+        await asyncio.sleep(REAP_POLL)
+    for process in processes:
+        if process.is_alive():
+            process.kill()
+        process.join(1.0)
+
+
 class _WorkerHandle:
     """One supervised slot's live process and pipe."""
 
@@ -296,13 +283,15 @@ class WorkerSupervisor:
     bodies above) runs on the owning loop, so plain attributes are safe
     arbiters.  ``on_failure(kind)`` is called for every worker crash or
     hang — the server points it at its circuit breaker.
+    ``job_timeout=None`` gives jobs no deadline unless ``submit`` names
+    one; ``probe_interval=None`` turns health probes off.
     """
 
     def __init__(
         self,
         workers: int,
         generator,
-        job_timeout: float = DEFAULT_JOB_TIMEOUT,
+        job_timeout: Optional[float] = DEFAULT_JOB_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_initial: float = RESTART_BACKOFF_INITIAL,
         backoff_cap: float = RESTART_BACKOFF_CAP,
@@ -340,11 +329,9 @@ class WorkerSupervisor:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._idle_event = asyncio.Event()
-        # Workers record spans per request (_run_request), never process-
+        # Workers record spans per job (_run_request), never process-
         # wide: a worker-wide recorder would swallow a job's spans.
-        self._initargs = shared_table_initargs(
-            self.generator, flags=(REGISTRY.enabled, False)
-        )
+        self._initargs = shared_table_initargs(self.generator)
         for slot in range(self.workers):
             self._spawn(slot, first=True)
         if self.probe_interval:
@@ -408,23 +395,15 @@ class WorkerSupervisor:
                 handle.conn.close()
             except OSError:
                 pass
-        await self._loop.run_in_executor(None, self._join_all)
-
-    def _join_all(self) -> None:
-        deadline = time.monotonic() + 5.0
-        for handle in self._handles:
-            if handle is None:
-                continue
-            handle.process.join(max(0.1, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(1.0)
+        await _reap([h.process for h in self._handles if h is not None])
 
     # ----------------------------------------------------------- plumbing
     def _on_readable(self, handle: _WorkerHandle) -> None:
         try:
             message = handle.conn.recv()
-        except (EOFError, OSError):
+        except Exception:
+            # EOF: the worker died.  Anything else (a shipped exception
+            # that will not unpickle) loses the reply all the same.
             self._retire(handle, "crash")
             return
         pending = handle.pending
@@ -483,8 +462,7 @@ class WorkerSupervisor:
         self, dead: _WorkerHandle, delay: float
     ) -> None:
         await asyncio.sleep(delay)
-        # reap the corpse off-loop so a slow exit can't stall serving
-        await self._loop.run_in_executor(None, dead.process.join, 5.0)
+        await _reap([dead.process])
         if not self._closed:
             self._spawn(dead.slot)
 
@@ -567,9 +545,9 @@ class WorkerSupervisor:
         only: List[str],
         timeout: Optional[float] = None,
     ) -> JobOutcome:
-        """Compile *only* — the request's result-cache misses — on a
-        healthy worker, re-dispatching on failure up to ``max_retries``
-        times."""
+        """Compile *only* — a request's result-cache misses, or one
+        batch — on a healthy worker, re-dispatching on failure up to
+        ``max_retries`` times.  *timeout* overrides ``job_timeout``."""
         timeout = self.job_timeout if timeout is None else timeout
         failures: List[str] = []
         attempts = 0

@@ -204,6 +204,11 @@ class BaseSemantics(SemanticActions):
         register = kids[1].register
         hint = kids[0].value
         uses = hint if isinstance(hint, int) and hint > 0 else 1
+        # An earlier reservation of this register may have spent its uses
+        # in this statement; its release at the next boundary must not
+        # free the reservation made here.
+        if register in self._pending_release:
+            self._pending_release.remove(register)
         self.registers.reserve(register)
         self._reg_uses[register] = uses
         return void(), f"phase-1 register {register} ({uses} uses)"

@@ -141,8 +141,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print collected diagnostics as JSON on stdout "
                              "(assembly then only goes to --output)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="compile functions concurrently on a process "
-                             "pool (GG backend)")
+                        help="compile functions concurrently on N "
+                             "supervised worker processes (GG backend)")
     parser.add_argument("--incremental", dest="incremental",
                         action="store_true", default=None,
                         help="probe the content-addressed result cache per "
@@ -156,9 +156,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="persist incremental per-function results "
                              "under DIR (implies --incremental)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-function seconds before a process-pool "
-                             "batch is declared hung and recompiled in the "
-                             "parent (with --jobs)")
+                        help="per-function seconds before a batch's "
+                             "worker is declared hung, killed and the batch "
+                             "re-dispatched (with --jobs)")
     parser.add_argument("--no-rescue-bridges", action="store_true",
                         help="build the grammar without the section-6.2.2 "
                              "rescue bridge productions (blocks at runtime; "
@@ -240,6 +240,7 @@ def fuzz_main(argv: List[str]) -> int:
         for finding in stats.findings:
             name = corpus.record(
                 finding.minimized, finding.divergence,
+                target=target,
                 detail=finding.detail, seed=finding.seed,
                 case=finding.case, statements=finding.statements,
             )
@@ -257,7 +258,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         prog="ggcc chaos",
         description="pipeline fault injection: corrupt packed tables, "
                     "truncate cache entries, remove bridge productions, "
-                    "kill and hang pool workers — then assert every "
+                    "kill and hang batch workers — then assert every "
                     "compile ends correct-or-cleanly-failed, never "
                     "silently miscompiled",
     )

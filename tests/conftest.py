@@ -30,14 +30,31 @@ def pytest_addoption(parser):
 
 @pytest.fixture()
 def fresh_pool():
-    """Retire the process-wide keep-alive pool around a test: pool
+    """Retire the batch driver's keep-alive workers around a test:
     workers read the environment they were forked with, so a chaos
-    variable the test sets only reaches a pool created after it."""
+    variable the test sets only reaches workers started after it."""
     from repro.compile import shutdown_worker_pools
 
     shutdown_worker_pools()
     yield
     shutdown_worker_pools()
+
+
+@pytest.fixture()
+def dispatched_jobs(monkeypatch):
+    """Every job the batch driver submits to its workers, as the
+    ``(request, names)`` pair the pipe carries."""
+    from repro.server.supervisor import WorkerSupervisor
+
+    jobs = []
+    submit = WorkerSupervisor.submit
+
+    async def recording(self, request, only, timeout=None):
+        jobs.append((dict(request), list(only)))
+        return await submit(self, request, only, timeout)
+
+    monkeypatch.setattr(WorkerSupervisor, "submit", recording)
+    return jobs
 
 
 @pytest.fixture(scope="session")

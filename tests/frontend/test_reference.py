@@ -540,19 +540,19 @@ def test_a_one_function_edit_lowers_one_function(gg, lowered_names, tmp_path):
 def test_a_lower_error_surfaces_from_every_compile_path(
     gg, jobs, incremental, fresh_pool
 ):
-    """The error keeps its type, and on the pool path it neither breaks
-    nor retires the keep-alive pool: the next compile reuses it."""
+    """The error keeps its type, and on the worker path it neither kills
+    a worker nor retires the keep-alive: the next compile reuses it."""
     reset_result_caches()
     expected = compile_program(EDIT_UNIT, generator=gg, jobs=jobs).text
-    pool = compile_module._KEEPALIVE_POOL
-    assert (pool is not None) == (jobs > 1)
+    workers = compile_module._KEEPALIVE
+    assert (workers is not None) == (jobs > 1)
     with pytest.raises(LowerError, match="missing"):
         compile_program(UNDECLARED, generator=gg, jobs=jobs,
                         incremental=incremental)
-    assert compile_module._KEEPALIVE_POOL is pool
-    assert pool is None or not pool.broken
+    assert compile_module._KEEPALIVE is workers
+    assert workers is None or workers.supervisor.crashes == 0
     out = compile_program(EDIT_UNIT, generator=gg, jobs=jobs)
-    assert out.text == expected and compile_module._KEEPALIVE_POOL is pool
+    assert out.text == expected and compile_module._KEEPALIVE is workers
 
 
 @pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "supervised"])

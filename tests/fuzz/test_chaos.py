@@ -3,7 +3,7 @@
 The process-pool scenarios (worker-kill/worker-hang) are exercised by
 ``tests/integration/test_resilient_compile.py`` and by the CI chaos-smoke
 job; here we keep to the in-process scenarios so the suite stays fast,
-plus one kill that must reach a keep-alive pool created beforehand.
+plus one kill that must reach keep-alive workers started beforehand.
 """
 
 import pytest
@@ -69,8 +69,8 @@ class TestCampaign:
 
 def test_kill_reaches_a_keepalive_pool_created_earlier(fresh_pool):
     """Workers read the environment they were forked with: a kill armed
-    after the keep-alive pool exists fires only because the harness
-    retires that pool around the fault."""
+    after the keep-alive exists fires only because the harness retires
+    it around the fault."""
     pools = []
 
     def warm_pool_before_case_1(line):
@@ -81,7 +81,7 @@ def test_kill_reaches_a_keepalive_pool_created_earlier(fresh_pool):
                 "int a(int x) { return x; }\nint b(int y) { return y; }\n",
                 jobs=2,
             )
-            pools.append(compile_mod._KEEPALIVE_POOL)
+            pools.append(compile_mod._KEEPALIVE)
 
     report = run_chaos(
         seed=0, cases_per_scenario=2, scenarios=["worker-kill"],

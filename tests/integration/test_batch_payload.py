@@ -1,24 +1,26 @@
-"""Lean batch payloads: the pool's text-mode pipe format vs the serial path.
+"""Lean batch payloads: the workers' text-mode pipe format vs the serial
+path.
 
-Process workers ship preformatted assembly text plus compact stats
+Worker processes ship preformatted assembly text plus compact stats
 (:class:`FunctionText`) instead of pickled ``CompileResult`` objects.
-The serial ``jobs=1`` compile is the oracle: this suite holds the pooled
-compile byte-identical to it — program text, per-function stats,
-diagnostics content *and ordering* — across the curated workloads, the
-fuzzer's widened spec space, every checked-in fuzz reproducer, and the
-shipped golden assembly, and pins down that the lean shape is actually
-smaller on the wire than the result graph it flattens.
+The serial ``jobs=1`` compile is the oracle: this suite holds the
+``jobs=2`` compile, on the real keep-alive workers, byte-identical to
+it — program text, per-function stats, diagnostics content *and
+ordering* — across the curated workloads, the fuzzer's widened spec
+space, every checked-in fuzz reproducer, and the shipped golden
+assembly, and pins down that the lean shape the job body produces is
+actually smaller on the wire than the result graph it flattens.
 """
 
+import json
 import pathlib
 import pickle
-from concurrent.futures import Future
 
 import pytest
 
 import repro.compile as compile_mod
 from repro.codegen.driver import GrahamGlanvilleCodeGenerator
-from repro.compile import FunctionText, compile_program
+from repro.compile import FunctionText, compile_functions, compile_program
 from repro.frontend import compile_c
 from repro.fuzz.chaos import TINY_BLOCKER
 from repro.fuzz.driver import spec_for_case
@@ -35,44 +37,11 @@ MULTI_SOURCE = "\n".join(
 )
 
 
-class InlinePool:
-    """Runs process-pool tasks inline, recording each pickled payload."""
-
-    def __init__(self, gen, jobs=2):
-        self.options_key = compile_mod._options_key(
-            compile_mod._generator_options(gen)
-        )
-        self.jobs = jobs
-        self.broken = False
-        self.payloads = []
-
-    def submit(self, fn, *args):
-        self.payloads.append(pickle.dumps(args))
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _install_worker(gen, monkeypatch):
-    key = compile_mod._options_key(compile_mod._generator_options(gen))
-    monkeypatch.setattr(compile_mod, "_WORKER_GENERATOR", (key, gen))
-    monkeypatch.setattr(compile_mod, "_WORKER_PROGRAMS", {})
-
-
-@pytest.fixture()
-def inline_worker(gg, monkeypatch):
-    _install_worker(gg, monkeypatch)
-
-
 def compile_serial_and_pooled(source, gen, **kwargs):
-    """The same unit compiled serially and through the (inline) pool."""
+    """The same unit compiled serially and on the keep-alive workers."""
     serial = compile_program(source, generator=gen, jobs=1, **kwargs)
     pooled = compile_program(
-        source, generator=gen, jobs=2, parallel="process",
-        pool=InlinePool(gen), **kwargs,
+        source, generator=gen, jobs=2, parallel="process", **kwargs,
     )
     return serial, pooled
 
@@ -97,12 +66,12 @@ def assert_equivalent(source, gen):
 @pytest.mark.parametrize(
     "program", ALL_PROGRAMS, ids=[p.name for p in ALL_PROGRAMS]
 )
-def test_text_mode_matches_serial_on_workloads(program, gg, inline_worker):
+def test_text_mode_matches_serial_on_workloads(program, gg):
     assert_equivalent(program.source, gg)
 
 
 @pytest.mark.parametrize("case", range(4))
-def test_text_mode_matches_on_fuzz_spec_space(case, gg, inline_worker):
+def test_text_mode_matches_on_fuzz_spec_space(case, gg):
     source = generate_workload(spec_for_case(1982, case))
     assert_equivalent(source, gg)
 
@@ -112,16 +81,15 @@ def test_text_mode_matches_on_fuzz_spec_space(case, gg, inline_worker):
     sorted(p.name for p in CORPUS.iterdir() if p.is_dir())
     if CORPUS.is_dir() else ["<empty>"],
 )
-def test_text_mode_matches_on_corpus_reproducers(
-    fingerprint, gg, inline_worker
-):
+def test_text_mode_matches_on_corpus_reproducers(fingerprint, gg, r32_gg):
     if fingerprint == "<empty>":
         pytest.skip("fuzz corpus is empty")
     source = (CORPUS / fingerprint / "repro.c").read_text()
-    assert_equivalent(source, gg)
+    meta = json.loads((CORPUS / fingerprint / "meta.json").read_text())
+    assert_equivalent(source, r32_gg if meta.get("target") == "r32" else gg)
 
 
-def test_text_mode_reproduces_the_quickstart_golden(gg, inline_worker):
+def test_text_mode_reproduces_the_quickstart_golden(gg):
     import importlib.util
 
     path = _REPO / "examples" / "quickstart.py"
@@ -130,19 +98,17 @@ def test_text_mode_reproduces_the_quickstart_golden(gg, inline_worker):
     spec.loader.exec_module(module)
     out = compile_program(
         module.SOURCE, generator=gg, jobs=2, parallel="process",
-        pool=InlinePool(gg),
     )
     assert out.text == (GOLDEN_DIR / "quickstart.gg.s").read_text()
 
 
-def test_resilient_diagnostics_identical_across_modes(monkeypatch):
-    """The resilient pool path also ships lean results; a rescue's
+def test_resilient_diagnostics_identical_across_modes():
+    """The resilient worker path also ships lean results; a rescue's
     diagnostics must come back with the serial path's content — codes,
     functions, messages, severities, context — in the same order."""
     debridged = GrahamGlanvilleCodeGenerator(
         rescue_bridges=False, cache=False
     )
-    _install_worker(debridged, monkeypatch)
     source = TINY_BLOCKER + "\nint ok(int a, int b) { return a + b; }\n"
     serial, pooled = compile_serial_and_pooled(
         source, debridged, resilient=True
@@ -161,14 +127,13 @@ def test_resilient_diagnostics_identical_across_modes(monkeypatch):
         assert lean.instruction_count == full.instruction_count
 
 
-def test_text_payload_is_smaller_on_the_wire(gg, inline_worker):
-    """The point of the lean shape: the worker's return value pickles
-    far smaller than the full CompileResult graph it flattens."""
+def test_text_payload_is_smaller_on_the_wire(gg):
+    """The point of the lean shape: the job body's flattened outcomes
+    pickle far smaller than the full CompileResult graph they
+    flatten."""
     program = compile_c(MULTI_SOURCE, gg.machine)
     names = tuple(program.order)
-    outcomes, _ = compile_mod._compile_batch_in_worker(
-        (MULTI_SOURCE, names)
-    )
+    outcomes = compile_functions(gg, program, names, flatten=True)
     full_results = [gg.compile(program.forest(name)) for name in names]
     lean_bytes = len(pickle.dumps(outcomes))
     full_bytes = len(pickle.dumps(full_results))
@@ -182,11 +147,11 @@ def test_text_payload_is_smaller_on_the_wire(gg, inline_worker):
     )
 
 
-def test_function_text_keeps_timing_shape(gg, inline_worker):
+def test_function_text_keeps_timing_shape(gg):
     """`result.times.wall` is how cpu_seconds accounting reads worker
     results; the flat record must answer the same way."""
-    outcomes, _ = compile_mod._compile_batch_in_worker(
-        (MULTI_SOURCE, ("gcd",))
+    outcomes = compile_functions(
+        gg, compile_c(MULTI_SOURCE, gg.machine), ("gcd",), flatten=True
     )
     (outcome,) = outcomes
     lean = outcome.result

@@ -10,11 +10,14 @@ the compiler on a small generated unit, so the same rename fails here
 first.
 """
 
+import multiprocessing
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.compile import compile_program, shutdown_worker_pools
 from repro.workloads import generate_workload
 
@@ -95,6 +98,32 @@ def test_process_pool_equals_the_serial_compile(gen):
     assert pooled.text == serial.text
     assert pooled.data_section() == serial.data_section()
     assert pooled.seconds > 0 and pooled.cpu_seconds > 0
+
+
+# ``unit-pool`` calls ``shutdown_worker_pools()`` and then
+# ``reap_children()`` before every rep, so each rep forks its own
+# workers; ``reap_children()`` waits for ``active_children()`` to empty.
+def test_shutdown_leaves_no_worker_process_behind(gg):
+    compile_program(SOURCE, generator=gg, jobs=2, parallel="process")
+    assert multiprocessing.active_children(), "no worker was forked"
+    shutdown_worker_pools()
+    assert multiprocessing.active_children() == []
+
+
+# ``setup_s`` times ``import repro.compile``; a serial compile never forks
+# and must not pay for the event loop or the compile service.
+def test_importing_the_compiler_loads_no_event_loop_or_service():
+    probe = (
+        "import sys, repro.compile\n"
+        "print(sorted(m for m in sys.modules if m == 'asyncio'\n"
+        "      or m.startswith(('asyncio.', 'repro.server'))))\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src},
+    ).stdout
+    assert loaded.strip() == "[]"
 
 
 # The traced pass times ``Parser(source)`` as the lexer layer and

@@ -9,9 +9,6 @@ served, so a later healthy compile of the same source always gets
 fresh, healthy code.
 """
 
-import pickle
-from concurrent.futures import Future
-
 import pytest
 
 import repro.compile as compile_mod
@@ -47,35 +44,6 @@ def _fresh_caches():
     reset_result_caches()
     yield
     reset_result_caches()
-
-
-class RecordingPool:
-    """Inline stand-in for SharedTablePool that records every payload a
-    submission would ship, so tests can assert *nothing* was shipped."""
-
-    def __init__(self, gen, jobs=2):
-        self.options_key = compile_mod._options_key(
-            compile_mod._generator_options(gen)
-        )
-        self.jobs = jobs
-        self.broken = False
-        self.payloads = []
-
-    def submit(self, fn, *args):
-        self.payloads.append(pickle.dumps(args))
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-@pytest.fixture()
-def inline_worker(gg, monkeypatch):
-    key = compile_mod._options_key(compile_mod._generator_options(gg))
-    monkeypatch.setattr(compile_mod, "_WORKER_GENERATOR", (key, gg))
-    monkeypatch.setattr(compile_mod, "_WORKER_PROGRAMS", {})
 
 
 class TestWarmSkip:
@@ -118,41 +86,55 @@ class TestWarmSkip:
         assert out.cache_misses == 0
 
     def test_warm_process_compile_never_touches_the_pool(
-        self, gg, inline_worker
+        self, gg, dispatched_jobs
     ):
-        pool = RecordingPool(gg)
-        compile_program(
+        cold = compile_program(
             MULTI_SOURCE, generator=gg, incremental=True,
-            jobs=2, parallel="process", pool=pool,
+            jobs=2, parallel="process",
         )
-        dispatched_cold = len(pool.payloads)
+        dispatched_cold = len(dispatched_jobs)
         assert dispatched_cold > 0
+        # only the misses were dispatched: every function, when cold
+        assert sorted(n for _, batch in dispatched_jobs for n in batch) \
+            == sorted(cold.source_program.order)
         warm = compile_program(
             MULTI_SOURCE, generator=gg, incremental=True,
-            jobs=2, parallel="process", pool=pool,
+            jobs=2, parallel="process",
         )
-        assert len(pool.payloads) == dispatched_cold
+        assert len(dispatched_jobs) == dispatched_cold
         assert warm.cache_misses == 0
 
     def test_single_miss_compiles_in_parent_not_pool(
-        self, gg, inline_worker
+        self, gg, dispatched_jobs
     ):
-        pool = RecordingPool(gg)
         compile_program(
             MULTI_SOURCE, generator=gg, incremental=True,
-            jobs=2, parallel="process", pool=pool,
+            jobs=2, parallel="process",
         )
-        dispatched_cold = len(pool.payloads)
+        dispatched_cold = len(dispatched_jobs)
         edited = MULTI_SOURCE.replace("a % b", "b % a")
         assert edited != MULTI_SOURCE
         out = compile_program(
             edited, generator=gg, incremental=True,
-            jobs=2, parallel="process", pool=pool,
+            jobs=2, parallel="process",
         )
         # one pending function is below the parallel threshold: it
         # compiles serially in the parent, no dispatch round trip
-        assert len(pool.payloads) == dispatched_cold
+        assert len(dispatched_jobs) == dispatched_cold
         assert out.cache_misses == 1
+        assert out.text == compile_program(edited, generator=gg).text
+
+    def test_only_the_misses_are_dispatched(self, gg, dispatched_jobs):
+        compile_program(MULTI_SOURCE, generator=gg, incremental=True)
+        edited = MULTI_SOURCE.replace("a % b", "b % a").replace(
+            "n < 2", "n < 3"
+        )
+        out = compile_program(
+            edited, generator=gg, incremental=True, jobs=2,
+        )
+        assert out.cache_misses == 2
+        assert sorted(n for _, batch in dispatched_jobs for n in batch) \
+            == sorted(n for n, tier in out.tiers.items() if tier != "cache")
         assert out.text == compile_program(edited, generator=gg).text
 
 
@@ -268,30 +250,22 @@ class TestRescuePoisoning:
         assert warm.text == healthy_text
 
     def test_worker_containment_recovery_is_not_stored(
-        self, gg, monkeypatch, inline_worker
+        self, gg, monkeypatch, fresh_pool
     ):
-        """A function recovered in the parent after a worker crash gets
-        a WORKER-* diagnostic — conservative store gate: not cached."""
-
-        class CrashingPool(RecordingPool):
-            def submit(self, fn, *args):
-                from concurrent.futures.process import BrokenProcessPool
-
-                future = Future()
-                future.set_exception(BrokenProcessPool("worker died"))
-                return future
-
-        pool = CrashingPool(gg)
+        """A function recovered in the parent after its worker died on
+        every attempt gets WORKER-* diagnostics — conservative store
+        gate: not cached."""
+        monkeypatch.setenv("REPRO_CHAOS_KILL_FN", "h")
         out = compile_program(
             SMALL, generator=gg, resilient=True, incremental=True,
-            jobs=2, parallel="process", pool=pool,
+            jobs=2, parallel="process",
         )
         assert out.ok
         assert out.diagnostics.has(codes.WORKER_CRASH)
-        # the WORKER-CRASH diagnostic names the function whose future
-        # broke; that one is conservatively not stored, while the other
-        # functions' parent recoveries were plain healthy ladder
-        # compiles and *are* cacheable
+        # the WORKER-CRASH diagnostics name the functions of the batch
+        # whose worker died; those are conservatively not stored, while
+        # the other functions compiled healthily on their workers and
+        # *are* cacheable
         flagged = {
             d.function for d in out.diagnostics.records() if d.function
         }

@@ -1,17 +1,20 @@
-"""The shared-table pool's dispatch contract.
+"""The batch driver's dispatch contract, on the real worker layer.
 
-The 0.2x process-pool regression came from shipping generator options
-with every per-function task and rebuilding tables per worker
-submission.  These tests pin the fixed contract: task payloads are
-O(source text) and never carry tables, batches are weight-balanced and
-order-preserving, a failed pool initializer degrades to a parent-side
+``compile_program(jobs=N)`` submits function batches to a keep-alive
+:class:`~repro.server.supervisor.WorkerSupervisor`.  The 0.2x
+process-pool regression came from shipping generator options with every
+per-function task and rebuilding tables per worker submission.  These
+tests pin the fixed contract: job payloads are ``(source, names)``,
+O(source text), and never carry tables; batches are weight-balanced and
+order-preserving; a failed worker initializer degrades to a parent-side
 recompile with a WORKER-CRASH diagnostic (never a hang or dropped
-functions), the keep-alive pool is actually reused, and a dispatch that
-raises early retires its pool instead of leaking it.
+functions); the keep-alive is actually reused, and rebuilt when the
+generator options change; and a dispatch that raises stops the
+keep-alive instead of leaking its workers.
 """
 
+import multiprocessing
 import pickle
-from concurrent.futures import Future
 
 import pytest
 
@@ -32,73 +35,43 @@ MULTI_SOURCE = "\n".join(
 )
 
 
-class InlinePool:
-    """A fake SharedTablePool that runs tasks inline and records the
-    exact pickled payload each submission would ship to a worker."""
-
-    def __init__(self, gen, jobs=2):
-        self.options_key = compile_mod._options_key(
-            compile_mod._generator_options(gen)
-        )
-        self.jobs = jobs
-        self.broken = False
-        self.payloads = []
-        self.shutdown_calls = 0
-
-    def submit(self, fn, *args):
-        self.payloads.append(pickle.dumps(args))
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def terminate_workers(self):
-        self.broken = True
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdown_calls += 1
-
-
-@pytest.fixture()
-def inline_worker(gg, monkeypatch):
-    """Make this test process act as its own pool worker: the state the
-    real initializer would install, without forking."""
-    key = compile_mod._options_key(compile_mod._generator_options(gg))
-    monkeypatch.setattr(compile_mod, "_WORKER_GENERATOR", (key, gg))
-    monkeypatch.setattr(compile_mod, "_WORKER_PROGRAMS", {})
-
-
-def test_task_payload_is_small_and_table_free(gg, inline_worker):
-    """Satellite: a task payload is O(source text) — independent of the
-    table size, because tables travel via the pool initializer."""
-    pool = InlinePool(gg)
+def test_task_payload_is_small_and_table_free(gg, dispatched_jobs):
+    """A job payload is ``(source, names)``: O(source text), independent
+    of the table size, because tables travel via the worker
+    initializer."""
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
     out = compile_program(
-        MULTI_SOURCE, generator=gg, jobs=2, parallel="process", pool=pool
+        MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
     )
     assert out.text == serial.text
-    assert pool.payloads, "nothing was dispatched through the pool"
+    assert dispatched_jobs, "nothing was dispatched to the workers"
+    names = [name for _, batch in dispatched_jobs for name in batch]
+    assert names == list(serial.source_program.order)
+    for request, batch in dispatched_jobs:
+        assert request == {"source": MULTI_SOURCE, "spans": False}
     table_bytes = len(pickle.dumps(gg.tables))
-    biggest = max(len(p) for p in pool.payloads)
+    biggest = max(len(pickle.dumps(job)) for job in dispatched_jobs)
     # every payload: (source, names) plus pickle framing — nowhere near
     # the tables, and bounded by the source text itself
     assert biggest < len(MULTI_SOURCE) + 512
     assert biggest * 20 < table_bytes
-    # an external pool is caller-owned: compile_program must not close it
-    assert pool.shutdown_calls == 0
 
 
-def test_external_pool_options_must_match(gg, inline_worker):
+def test_keepalive_rebuilt_for_other_generator_options(gg, fresh_pool):
+    """Workers hold one generator's tables and options: a compile with
+    other options stops the keep-alive and builds a new one, so no batch
+    ever compiles with the wrong generator."""
     from repro.codegen.driver import GrahamGlanvilleCodeGenerator
 
-    pool = InlinePool(gg)
     other = GrahamGlanvilleCodeGenerator(
         bundle=gg.bundle, tables=gg.tables, peephole=True
     )
-    with pytest.raises(ValueError, match="pool"):
-        compile_program(
-            MULTI_SOURCE, generator=other, jobs=2, parallel="process",
-            pool=pool,
-        )
+    compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+    first = compile_mod._KEEPALIVE
+    out = compile_program(MULTI_SOURCE, generator=other, jobs=2)
+    assert compile_mod._KEEPALIVE is not first
+    assert out.text == compile_program(MULTI_SOURCE, generator=other).text
+    assert first.loop.is_closed()
 
 
 # ------------------------------------------------------------- batching
@@ -200,10 +173,10 @@ def test_effective_width_clamps_to_cpus():
 
 # ------------------------------------------------- initializer failure
 def test_init_failure_falls_back_to_serial(gg, monkeypatch, fresh_pool):
-    """Satellite: a pool whose initializer raises (what a cache miss +
-    builder failure in the worker looks like) breaks the pool like a
-    dead worker: WORKER-CRASH, and everything recompiles in the parent
-    — same text, nothing dropped."""
+    """A worker whose initializer raises (what a cache miss + builder
+    failure in the worker looks like) dies like a crashed worker: every
+    attempt fails with WORKER-CRASH, and everything recompiles in the
+    parent — same text, nothing dropped."""
     monkeypatch.setenv(compile_mod.ENV_CHAOS_INIT_FAIL, "1")
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
     out = compile_program(
@@ -227,45 +200,94 @@ def test_init_failure_resilient_recovers_all(gg, monkeypatch, fresh_pool):
     assert set(out.tiers) == set(serial.function_results)
 
 
-# ------------------------------------------------------ pool lifecycle
+# ------------------------------------------------------------ retries
+def test_a_worker_death_is_retried_on_a_restarted_worker(
+    gg, monkeypatch, tmp_path, fresh_pool, dispatched_jobs
+):
+    """A worker that dies once mid-batch costs that batch a re-dispatch
+    to a restarted worker: the parent recompiles nothing, each function
+    of the batch carries a WORKER-CRASH warning, and the text equals
+    the serial compile."""
+    from repro.server.supervisor import ENV_KILL_ONCE
+
+    serial = compile_program(MULTI_SOURCE, generator=gg)
+    marker = tmp_path / "kill-once"
+    marker.write_text("")
+    monkeypatch.setenv(ENV_KILL_ONCE, str(marker))
+    in_parent = []
+    body = compile_mod.compile_functions
+
+    def counted(generator, program, names, flatten=False):
+        in_parent.extend(names)
+        return body(generator, program, names, flatten)
+
+    monkeypatch.setattr(compile_mod, "compile_functions", counted)
+    out = compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+    assert not marker.exists(), "no worker took the one-shot kill"
+    assert in_parent == []
+    assert out.text == serial.text
+    crashes = [
+        d for d in out.diagnostics.records() if d.code == codes.WORKER_CRASH
+    ]
+    assert crashes
+    assert {d.severity for d in crashes} == {codes.WARNING}
+    assert [d.context["attempt"] for d in crashes] == [1] * len(crashes)
+    batches = [batch for _, batch in dispatched_jobs]
+    assert [d.function for d in crashes] in batches
+    supervisor = compile_mod._KEEPALIVE.supervisor
+    assert (supervisor.retries, supervisor.crashes) == (1, 1)
+
+
+# ------------------------------------------------- keep-alive lifecycle
 def test_keepalive_pool_reused_across_calls(gg):
     shutdown_worker_pools()
     first = compile_program(
         MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
     )
-    pool = compile_mod._KEEPALIVE_POOL
-    assert pool is not None
+    workers = compile_mod._KEEPALIVE
+    assert workers is not None
+    pids = {w["pid"] for w in workers.supervisor.snapshot()["workers"]}
     again = compile_program(
         MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
     )
-    assert compile_mod._KEEPALIVE_POOL is pool
+    assert compile_mod._KEEPALIVE is workers
+    assert {w["pid"] for w in workers.supervisor.snapshot()["workers"]} \
+        == pids
     assert again.text == first.text
     shutdown_worker_pools()
-    assert compile_mod._KEEPALIVE_POOL is None
+    assert compile_mod._KEEPALIVE is None
+
+
+def _explode_dispatch(monkeypatch, exc):
+    from repro.server.supervisor import WorkerSupervisor
+
+    async def explode(self, request, only, timeout=None):
+        raise exc("dispatch exploded before any result")
+
+    monkeypatch.setattr(WorkerSupervisor, "submit", explode)
 
 
 def test_resilient_early_raise_cannot_leak_pool(
     gg, monkeypatch, fresh_pool
 ):
-    """Satellite regression: dispatch raising before the first result
-    used to leak the ProcessPoolExecutor; a dispatch that raises now
-    retires the pool it used on the way out."""
-    created = []
-
-    class ExplodingPool(InlinePool):
-        def __init__(self, jobs, gen, flags=None, program=None):
-            super().__init__(gen, jobs)
-            created.append(self)
-
-        def submit(self, fn, *args):
-            raise RuntimeError("dispatch exploded before any result")
-
-    monkeypatch.setattr(compile_mod, "SharedTablePool", ExplodingPool)
+    """A dispatch that raises before the first result stops the
+    keep-alive it used on the way out: no worker outlives the call."""
+    _explode_dispatch(monkeypatch, RuntimeError)
     with pytest.raises(RuntimeError, match="dispatch exploded"):
         compile_program(
             MULTI_SOURCE, generator=gg, jobs=2, parallel="process",
             resilient=True,
         )
-    assert created, "the pool path never built its pool"
-    assert created[0].broken
-    assert created[0].shutdown_calls >= 1
+    assert compile_mod._KEEPALIVE is None
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_dispatch_cannot_leak_workers(
+    gg, monkeypatch, fresh_pool
+):
+    """^C mid-dispatch propagates, and stops the keep-alive first."""
+    _explode_dispatch(monkeypatch, KeyboardInterrupt)
+    with pytest.raises(KeyboardInterrupt):
+        compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+    assert compile_mod._KEEPALIVE is None
+    assert multiprocessing.active_children() == []

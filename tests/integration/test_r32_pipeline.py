@@ -124,3 +124,27 @@ class TestSingleTargetAssumptionsRemoved:
         )
         assert assembly.ok
         assert assembly.simulator().call("f", []) == 5
+
+
+#: A ``?:`` value held in a phase-1 register under a 3-use hint, after
+#: a call: a first reservation of that register spends its uses, a
+#: second one arrives before the statement boundary, and the boundary
+#: must not release the second.  The stale release once let the next
+#: statement load a parameter into the reserved register.
+REHINTED = """
+int g0;
+int f2(int p0, int p1) { return 0; }
+int f3(int p0, int p1) {
+    int x;
+    x = f2(g0, 67);
+    x = ((0 + (27 * (94 + (p1 + p0)))) - (0 ? 42 : 13));
+    return x;
+}
+"""
+
+
+def test_a_rereserved_phase1_register_outlives_the_boundary(r32_gg):
+    report = run_oracle(REHINTED, gg_generator=r32_gg)
+    assert report.ok, (report.divergence, report.detail)
+    out = compile_program(REHINTED, generator=r32_gg)
+    assert out.simulator().call("f3", [5, 7]) == 27 * (94 + 12) - 13

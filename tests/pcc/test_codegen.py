@@ -96,3 +96,25 @@ class TestRegisterDiscipline:
         assert result.instruction_count == 1
         assert result.seconds >= 0
         assert "_t:" in result.assembly
+
+
+def test_an_and_of_deep_operands_fits_the_registers():
+    """``a & b`` with both operands in registers used to hold them and
+    the complemented mask while allocating a fourth register: a deep
+    tree on each side then ran the six allocatable registers out.  The
+    mask now becomes the result."""
+    from repro.compile import compile_program
+    from repro.fuzz.oracle import run_oracle
+
+    source = (
+        "int g0; int g2; int arr0[16];\n"
+        "int f1(int p0, int p1) { register int i; int j; int z;\n"
+        "  z = 0; i = 0; j = 3;\n"
+        "  arr0[i] = ((j << 5) & (((g0 & g2) | (z - z)) - "
+        "((p0 * 21) & (83 % 10))));\n"
+        "  return arr0[i]; }\n"
+    )
+    out = compile_program(source, backend="pcc")
+    assert out.ok
+    assert run_oracle(source).ok
+    assert out.simulator().call("f1", [5, 0]) == (3 << 5) & -((5 * 21) & 3)

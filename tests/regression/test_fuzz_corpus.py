@@ -13,13 +13,16 @@ import pathlib
 
 import pytest
 
+from repro.fuzz.corpus import Corpus
 from repro.fuzz.oracle import run_oracle
 
 CORPUS = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
 
 FINGERPRINTS = [
     '1ed3522c3a30cf39',
+    '4bb3b8de152c0170',
     'ee4c01aa01a850e7',
+    'f174cb55c9adc025',
 ]
 
 
@@ -27,9 +30,9 @@ FINGERPRINTS = [
 def test_corpus_reproducer_agrees(fingerprint):
     if not FINGERPRINTS:
         pytest.skip("fuzz corpus is empty")
-    source = (CORPUS / fingerprint / "repro.c").read_text()
-    report = run_oracle(source)
+    entry = Corpus(CORPUS).entry(fingerprint)
+    report = run_oracle(entry.source, target=entry.target)
     assert report.ok, (
-        f"corpus reproducer {fingerprint} diverges again: "
-        f"{report.divergence} ({report.detail})"
+        f"corpus reproducer {fingerprint} ({entry.target}) diverges "
+        f"again: {report.divergence} ({report.detail})"
     )
