@@ -264,7 +264,7 @@ def bench_server_load(quick: bool) -> dict:
     result-cache traffic) against a private async server, with p50/p99
     latency, throughput, and the speedup over the PR-5 blocking
     baseline.  Same harness as ``ggcc load-test``."""
-    from repro.server.loadgen import load_test_report, resilience_report
+    from repro.server.loadgen import load_test_report
 
     if quick:
         report = load_test_report(
@@ -281,18 +281,6 @@ def bench_server_load(quick: bool) -> dict:
     print(f"  warm speedup {report['warm_speedup']}x over cold, "
           f"{report['speedup_vs_blocking']}x over the blocking baseline "
           f"({report['baseline_blocking_rps']} req/s)")
-    resilience = resilience_report(
-        clients=4 if quick else 8,
-        requests_per_client=3 if quick else 4,
-    )
-    report["resilience"] = resilience
-    print(f"  resilience workers={resilience['workers']} "
-          f"undisturbed {resilience['undisturbed']['requests_per_sec']:.1f} "
-          f"req/s vs kill-storm "
-          f"{resilience['disturbed']['requests_per_sec']:.1f} req/s "
-          f"(ratio {resilience['throughput_ratio']}, "
-          f"crashes {resilience['supervisor']['crashes']}, "
-          f"restarts {resilience['supervisor']['restarts']})")
     return report
 
 

@@ -16,8 +16,8 @@ left the engine's tier.
 
 ``compile_program`` accepts ``jobs=`` to compile independent functions
 concurrently: it submits function *batches* to a process-wide
-keep-alive :class:`~repro.server.supervisor.WorkerSupervisor`, the
-worker layer ``ggcc serve`` runs too.  Its workers make the constructed
+keep-alive :class:`~repro.workers.WorkerSupervisor`, the worker
+substrate ``ggcc serve`` runs too.  Its workers make the constructed
 tables resident once, in :func:`_pool_initializer` (free under fork, one
 content-addressed table-cache load otherwise), so a job payload is only
 the source text plus function names.  Reusing the keep-alive across
@@ -278,7 +278,7 @@ def compile_program(
 
     ``jobs`` > 1 compiles independent functions concurrently ("gg" only)
     by submitting function batches to a process-wide keep-alive
-    :class:`~repro.server.supervisor.WorkerSupervisor` (width ``jobs``,
+    :class:`~repro.workers.WorkerSupervisor` (width ``jobs``,
     clamped to the available CPUs) whose workers hold the tables
     resident from their initializer on; consecutive calls reuse it while
     the generator options, width and metrics flag match.  Results land
@@ -499,7 +499,7 @@ def compile_functions(
 
     It runs on every path: the serial one (and the parent's recompile of
     a lost batch) here, the service's executor thread and every
-    supervised worker through :func:`repro.server.supervisor._run_request`.
+    supervised worker through :func:`repro.workers._run_request`.
     ``flatten`` makes each result a :class:`FunctionText` as soon as its
     function compiles, so a job never holds a batch's instruction
     graphs; the serial path keeps :class:`CompileResult` for the profile
@@ -508,7 +508,6 @@ def compile_functions(
     """
     outcomes = []
     for name in names:
-        _chaos_hooks(name)
         outcome = compile_with_recovery(generator, lowered(program, name))
         if flatten and isinstance(outcome.result, CompileResult):
             outcome.result = _function_text(name, outcome.result)
@@ -666,12 +665,6 @@ _WORKER_PROGRAMS: Dict[str, CompiledProgram] = {}
 #: through many sources, a one-shot driver uses one.
 _WORKER_PROGRAM_LIMIT = 8
 
-#: Chaos hook: a truthy value makes every worker initializer raise —
-#: exactly what a cache miss plus a table-builder failure inside the
-#: worker looks like to the supervisor (the worker dies before any job
-#: runs).
-ENV_CHAOS_INIT_FAIL = "REPRO_CHAOS_POOL_INIT_FAIL"
-
 
 def _pool_initializer(
     options: Dict[str, object],
@@ -693,10 +686,6 @@ def _pool_initializer(
     # swallow the job's spans.
     set_metrics_enabled(metrics_on)
     uninstall_recorder()
-    if os.environ.get(ENV_CHAOS_INIT_FAIL):
-        raise RuntimeError(
-            f"{ENV_CHAOS_INIT_FAIL}: injected pool-initializer failure"
-        )
     key = _options_key(options)
     if _PARENT_STATE is not None and _PARENT_STATE[0] == key:
         _WORKER_GENERATOR = _PARENT_STATE
@@ -784,7 +773,7 @@ def _effective_width(jobs: int) -> int:
 
 # ------------------------------------------------------- batch keep-alive
 class _KeepAlive:
-    """The batch driver's :class:`~repro.server.supervisor.WorkerSupervisor`
+    """The batch driver's :class:`~repro.workers.WorkerSupervisor`
     and the private event loop that drives it from sync code; the loop
     runs only while a call is in flight.  Health probes are off, and a
     job has a deadline only when the caller gives a ``timeout``."""
@@ -793,9 +782,9 @@ class _KeepAlive:
         self, key: tuple, width: int, gen: GrahamGlanvilleCodeGenerator
     ) -> None:
         # Imported here: a serial compile never forks, and must not pay
-        # for the event loop and the service stack.
+        # for the event loop and the worker substrate.
         import asyncio
-        from .server.supervisor import WorkerSupervisor
+        from .workers import WorkerSupervisor
 
         self.key = key  # generator options, width, metrics flag
         self.loop = asyncio.new_event_loop()
@@ -812,18 +801,17 @@ class _KeepAlive:
         self,
         request: Dict[str, object],
         batches: Sequence[tuple],
-        timeout: Optional[float],
+        deadlines: Sequence[Optional[float]],
     ) -> list:
-        """One ``JobOutcome`` per batch, in order; a batch's deadline is
-        ``timeout`` per function."""
+        """One ``JobOutcome`` per batch, in order, each batch submitted
+        under its deadline."""
         import asyncio
 
         submits = [
             self.loop.create_task(self.supervisor.submit(
-                request, list(batch),
-                timeout=None if timeout is None else timeout * len(batch),
+                request, list(batch), timeout=deadline,
             ))
-            for batch in batches
+            for batch, deadline in zip(batches, deadlines)
         ]
         gathered = asyncio.gather(*submits)
         try:
@@ -970,23 +958,30 @@ def _compile_functions_parallel(
     keep-alive stays, and the first one in source order is raised once
     every batch is in.
     """
+    from .workers import report_worker_failures
+
     workers = _keepalive(gen, jobs, source, program)
     batches = plan_batches(program, names, workers.supervisor.workers)
+    # A batch's deadline is ``timeout`` per function.
+    deadlines = [
+        None if timeout is None else timeout * len(batch)
+        for batch in batches
+    ]
     recorder = current_recorder()
     request = {"source": source, "spans": recorder is not None}
     try:
-        finished = workers.run(request, batches, timeout)
+        finished = workers.run(request, batches, deadlines)
     except BaseException:
         shutdown_worker_pools()
         raise
     outcomes: Dict[str, LadderOutcome] = {}
     lost: List[str] = []
     error: Optional[BaseException] = None
-    for batch, job in zip(batches, finished):
+    for batch, deadline, job in zip(batches, deadlines, finished):
         METRICS.absorb(job.metrics)
         if recorder is not None:
             recorder.absorb(job.spans)
-        _report_worker_failures(job, batch, timeout, diagnostics)
+        report_worker_failures(job, batch, deadline, diagnostics)
         if job.failed:
             lost.extend(batch)
         elif job.error is not None:
@@ -997,61 +992,6 @@ def _compile_functions_parallel(
         raise error
     outcomes.update(zip(lost, compile_functions(gen, program, lost)))
     return [outcomes[name] for name in names]
-
-
-def _report_worker_failures(
-    job,
-    batch: tuple,
-    timeout: Optional[float],
-    diagnostics: DiagnosticSink,
-) -> None:
-    """One WORKER-CRASH (dead worker) or WORKER-TIMEOUT (missed deadline)
-    per failed attempt of *job* and function of its *batch*: a warning
-    when a retry recovered the batch, an error when the parent
-    recompiles it."""
-    if job.failed:
-        severity, then = codes.ERROR, "recovering the batch in the parent"
-    else:
-        severity, then = codes.WARNING, "the batch was re-dispatched"
-    for attempt, kind in enumerate(job.failures, start=1):
-        if kind == "hang":
-            code, context = codes.WORKER_TIMEOUT, {"timeout_seconds": timeout}
-            what = (f"worker exceeded the {timeout:.3g}s per-function "
-                    f"timeout on a batch of {len(batch)}")
-        else:
-            code, context = codes.WORKER_CRASH, {}
-            what = f"worker died on a batch of {len(batch)}"
-        for name in batch:
-            diagnostics.add(
-                code, f"{what} (attempt {attempt}); {then}",
-                severity=severity, function=name, attempt=attempt,
-                kind=kind, **context,
-            )
-
-
-# --------------------------------------------------------------- resilience
-def _chaos_hooks(name: str) -> None:
-    """Fault-injection points for the chaos harness, run per function by
-    the job body in worker processes only (in the parent, a lost batch's
-    recompile is the recovery under test).
-
-    ``REPRO_CHAOS_KILL_FN=f,g`` hard-kills the worker compiling a listed
-    function (``os._exit``, no cleanup — exactly what a segfault looks
-    like to the supervisor).  ``REPRO_CHAOS_HANG_FN=f:5`` sleeps the
-    listed functions for the given seconds (default 30) to trip the
-    timeout.  Workers read the environment they were forked with, so a
-    harness that sets either variable must retire the keep-alive first.
-    """
-    if _WORKER_GENERATOR is None:
-        return
-    kill = os.environ.get("REPRO_CHAOS_KILL_FN", "")
-    if kill and name in kill.split(","):
-        os._exit(17)
-    hang = os.environ.get("REPRO_CHAOS_HANG_FN", "")
-    if hang:
-        spec, _, seconds = hang.partition(":")
-        if name in spec.split(","):
-            time.sleep(float(seconds) if seconds else 30.0)
 
 
 def run_program(

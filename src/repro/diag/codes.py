@@ -16,11 +16,12 @@ text.  Codes are grouped by prefix:
 ``CACHE-*``
     persistent table-cache integrity events.
 ``WORKER-*``
-    batch-driver worker containment, one per failed attempt.
+    worker containment, one per failed attempt per function of the job,
+    for both owners of the worker substrate (the batch driver and the
+    compile service).
 ``SERVER-*``
-    compile-service admission control and self-healing: queue-full
-    backpressure, expired request deadlines, supervised-worker crash
-    and retry events, circuit-breaker sheds, and graceful-drain
+    compile-service admission control: queue-full backpressure, expired
+    request deadlines, circuit-breaker sheds, and graceful-drain
     rejections.
 ``FN-*`` / ``FRONTEND-*``
     per-function and whole-program terminal failures.
@@ -67,8 +68,6 @@ ENGINE_UNKNOWN = "ENGINE-UNKNOWN"
 # ------------------------------------------------------------- service
 SERVER_OVERLOAD = "SERVER-OVERLOAD"
 SERVER_DEADLINE = "SERVER-DEADLINE"
-SERVER_WORKER_CRASH = "SERVER-WORKER-CRASH"
-SERVER_RETRY = "SERVER-RETRY"
 SERVER_CIRCUIT_OPEN = "SERVER-CIRCUIT-OPEN"
 SERVER_SHUTDOWN = "SERVER-SHUTDOWN"
 
@@ -120,18 +119,21 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
     ),
     WORKER_TIMEOUT: (
         ERROR,
-        "a batch outlived its deadline (the per-function timeout times "
-        "its function count); its worker was killed and restarted and "
-        "the batch re-dispatched — a warning when a retry recovered it, "
-        "an error when it was recompiled in the parent; other batches "
-        "keep their workers",
+        "a job outlived its deadline (a batch: the per-function timeout "
+        "times its function count; a service request: the job timeout); "
+        "its worker was killed and restarted and the job re-dispatched "
+        "— a warning when a retry recovered it, an error when every "
+        "attempt failed (the batch driver then recompiles the batch in "
+        "the parent, the service answers an error); other jobs keep "
+        "their workers",
     ),
     WORKER_CRASH: (
         ERROR,
-        "a batch's worker died (a crash, or a failed initializer); the "
-        "worker was restarted and the batch re-dispatched — a warning "
-        "when a retry recovered it, an error when it was recompiled in "
-        "the parent",
+        "a job's worker died (a crash, or a failed initializer); the "
+        "worker was restarted and the job re-dispatched — a warning "
+        "when a retry recovered it, an error when every attempt failed "
+        "(the batch driver then recompiles the batch in the parent, the "
+        "service answers an error)",
     ),
     FN_FAILED: (
         ERROR,
@@ -155,18 +157,6 @@ REGISTRY: Dict[str, Tuple[str, str]] = {
         ERROR,
         "the request's deadline expired before its compile finished; "
         "queued work was cancelled, running work was abandoned",
-    ),
-    SERVER_WORKER_CRASH: (
-        ERROR,
-        "a supervised compile worker died or hung mid-request; the "
-        "worker was restarted and the request re-dispatched when "
-        "retries remained",
-    ),
-    SERVER_RETRY: (
-        NOTE,
-        "the request was re-dispatched to a healthy worker after its "
-        "first worker failed (idempotent under the content-addressed "
-        "result key)",
     ),
     SERVER_CIRCUIT_OPEN: (
         WARNING,

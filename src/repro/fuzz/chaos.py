@@ -1,42 +1,51 @@
-"""Chaos harness: fault injection against the *pipeline*, not the code.
+"""Chaos harness: faults injected into the compile machinery, judged once.
 
 :mod:`repro.fuzz.inject` plants miscompilation bugs to prove the oracle
 can catch them; this module instead breaks the pipeline's *machinery* —
-packed tables, the persistent cache, the bridge productions, the batch
-workers — and asserts the resilience invariant of the recovery ladder:
+the table cache, the bridge productions, the worker substrate, the
+service's result cache, frames and clients — under both owners of the
+worker substrate, the batch driver and the compile service, and holds
+every case to one invariant (:func:`judge`):
 
-    every compile ends in either output the IR interpreter agrees with
-    (any recovery recorded as a diagnostic) or a structured, non-silent
-    failure — never a silent miscompilation, never a whole-program abort
-    caused by one function.
+    every output agrees with the IR interpreter, every admitted request
+    gets an answer, and every failure is structured — an error
+    diagnostic names each failed function, or the reply carries a typed
+    error.
 
-Scenarios
----------
-``table-corrupt``
-    Flip words in the packed action rows stored inside a table-cache
-    entry, leaving the entry's digest as it was — the tables a fresh
-    generator would load, rotted in place.  The live runtime is
-    immutable, so this is where table corruption can really happen.
-    The envelope's sha256 must refuse the entry before a single word is
-    trusted (CACHE-CORRUPT) and the generator must cold-build; output
-    must still match the interpreter.
-``cache-corrupt``
-    Truncate or byte-flip the persistent table-cache entry.  The
-    checksummed envelope must quarantine it and cold-build
-    (CACHE-CORRUPT); output must still match.
-``de-bridge``
-    Compile with the rescue bridge productions removed
-    (``rescue_bridges=False``) so scaled-index commitments genuinely
-    block, as in section 6.2.2 before the static repairs.  Blocks must
-    surface as GG-BLOCK-SYN and recover via hoisting or PCC; output must
-    still match.
-``worker-kill`` / ``worker-hang``
-    Kill or hang the worker compiling one function via the
-    ``REPRO_CHAOS_*`` env hooks.  The fault fires on every attempt, so
-    the supervisor restarts the worker, re-dispatches the batch, and
-    gives up; the rest of the program must compile on its own workers,
-    the lost batch must be recovered in the parent (WORKER-CRASH /
-    WORKER-TIMEOUT per attempt), and output must still match.
+A worker fault must also be seen to fire: unless the supervisor's crash
+or hang count rises, the case proved nothing and fails.  Worker faults
+enter through the substrate's one seam, a :class:`~repro.workers.FaultPlan`
+armed with :func:`~repro.workers.inject`, which reaches a keep-alive or
+a service already running.
+
+Scenarios (:data:`SCENARIOS`; ``ggcc chaos --scenario NAME``)::
+
+    owner    scenario             fault
+    batch    table-corrupt        packed action-row words flipped inside a
+                                  stored table-cache entry, digest kept
+    batch    cache-corrupt        table-cache entry truncated or byte-flipped
+    batch    de-bridge            grammar without the §6.2.2 rescue bridges
+    batch    worker-kill          the worker compiling one function killed
+                                  on every attempt
+    batch    worker-hang          that worker hangs past its batch's
+                                  deadline on every attempt
+    service  serve-worker-kill    each request's first attempt killed
+    service  serve-worker-hang    each request's first attempt hangs past
+                                  the job timeout
+    service  serve-cache-corrupt  persistent result-cache entries truncated
+                                  or bit-flipped between two servers
+    service  malformed-frames     truncated, flipped, length-lying and
+                                  garbage frames, then one good request
+    service  slow-client          a frame trickled beside a fast client
+    service  cache-readonly       the result-cache directory refuses writes
+    service  kill-storm           at most one worker kill per 150 ms under
+                                  closed-loop load: throughput must keep
+                                  half its undisturbed rate
+
+Verdicts: ``clean``, ``recovered`` (a diagnostic, or a tier other than
+the engine's), ``failed-clean`` (a structured failure), ``skip`` (the
+interpreter itself could not run the case), and the run-failing
+:data:`BAD_VERDICTS`.
 """
 
 from __future__ import annotations
@@ -44,44 +53,74 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import socket
+import stat
 import tempfile
+import threading
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import compile as compile_mod
 from ..codegen.driver import GrahamGlanvilleCodeGenerator
-from ..compile import ProgramAssembly, compile_program, shutdown_worker_pools
+from ..compile import ProgramAssembly, compile_program
+from ..diag.codes import ERROR
 from ..frontend.lower import compile_c
+from ..matcher.engine import resolve_engine
+from ..server import CompileServer
+from ..server.client import CompileClient
+from ..server.loadgen import LoadReport, run_load
+from ..server.protocol import encode_frame, recv_frame
+from ..sim.assembler import assemble
 from ..tables.cache import rewrite_payload
-from .oracle import _observe_interp, _sign32, default_calls
+from ..targets.registry import resolve_target
+from ..workers import FaultPlan, inject
+from .oracle import (
+    Observation, _observe_interp, default_calls, observe_machine,
+)
 
 #: The smallest known program that blocks a de-bridged grammar: the
 #: "Plus con Mul" commitment expects a scale token and meets Indir.
 TINY_BLOCKER = "int g; int f(int x, int y) { g = 2 + x*y; return g; }\n"
 
-SCENARIOS = (
-    "table-corrupt", "cache-corrupt", "de-bridge",
-    "worker-kill", "worker-hang",
+#: The blocker and a sibling: the batch driver dispatches to its workers
+#: only when more than one function is pending, so a batch worker fault
+#: needs two functions to reach a worker at all.
+BLOCKER_PAIR = TINY_BLOCKER + "int h(int z) { return z + g; }\n"
+
+#: Verdicts that fail a run: output nobody flagged as wrong, a request
+#: left without an answer, an unstructured failure, a worker fault that
+#: never fired, a kill storm that more than halved throughput.
+BAD_VERDICTS = (
+    "silent-miscompile", "unanswered", "uncontained", "unfired", "degraded",
 )
 
 #: Simulator step budget per case (chaos programs are small).
 MAX_STEPS = 5_000_000
 
+#: The kill storm: closed-loop clients, requests per client, at most one
+#: worker kill per interval, and the throughput share it must keep.
+STORM_CLIENTS = 8
+STORM_REQUESTS = 3
+STORM_INTERVAL = 0.15
+STORM_MIN_RATIO = 0.5
+
 
 @dataclass
 class ChaosCase:
-    """One scenario applied to one program."""
+    """One scenario applied to one program, request or load run."""
 
     scenario: str
     case: int
-    verdict: str   # clean | recovered | failed-clean | skip |
-    #                silent-miscompile | uncontained
+    verdict: str
     tiers: Dict[str, str] = field(default_factory=dict)
     codes: Dict[str, int] = field(default_factory=dict)
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.verdict not in ("silent-miscompile", "uncontained")
+        return self.verdict not in BAD_VERDICTS
 
 
 @dataclass
@@ -91,29 +130,34 @@ class ChaosReport:
     seed: int
     cases: List[ChaosCase] = field(default_factory=list)
 
+    def _with(self, verdict: str) -> List[ChaosCase]:
+        return [c for c in self.cases if c.verdict == verdict]
+
     @property
     def silent_miscompiles(self) -> List[ChaosCase]:
-        return [c for c in self.cases if c.verdict == "silent-miscompile"]
+        return self._with("silent-miscompile")
+
+    @property
+    def unanswered(self) -> List[ChaosCase]:
+        return self._with("unanswered")
 
     @property
     def uncontained(self) -> List[ChaosCase]:
-        return [c for c in self.cases if c.verdict == "uncontained"]
+        return self._with("uncontained")
 
     @property
     def ok(self) -> bool:
-        return not self.silent_miscompiles and not self.uncontained
+        return all(case.ok for case in self.cases)
 
     def summary_lines(self) -> List[str]:
-        lines = [f"chaos: seed {self.seed}, {len(self.cases)} case(s)"]
-        by_verdict: Dict[str, int] = {}
-        for case in self.cases:
-            by_verdict[case.verdict] = by_verdict.get(case.verdict, 0) + 1
-        lines.append(
+        by_verdict = Counter(case.verdict for case in self.cases)
+        lines = [
+            f"chaos: seed {self.seed}, {len(self.cases)} case(s)",
             "chaos: " + ", ".join(
                 f"{verdict}={count}"
                 for verdict, count in sorted(by_verdict.items())
-            )
-        )
+            ),
+        ]
         for case in self.cases:
             if not case.ok:
                 lines.append(
@@ -121,12 +165,121 @@ class ChaosReport:
                     f"{case.verdict} ({case.detail})"
                 )
         lines.append(
-            "chaos: zero silent miscompilations" if self.ok
-            else "chaos: INVARIANT VIOLATED"
+            "chaos: zero silent miscompilations, zero unanswered requests"
+            if self.ok else "chaos: INVARIANT VIOLATED"
         )
         return lines
 
 
+# ----------------------------------------------------------------- judge
+def judge(
+    scenario: str, case: int, source: str, output: Any, fired: bool = True
+) -> ChaosCase:
+    """The one judge, for either owner's output of *source*: a batch
+    compile's :class:`ProgramAssembly`, a service reply, or ``None`` for
+    a request that got no answer.  *fired* is False for a worker-fault
+    case whose fault the supervisor never saw, which fails the case."""
+    result = ChaosCase(scenario=scenario, case=case, verdict="clean")
+    result.verdict, result.detail = _invariant(result, source, output)
+    if result.ok and not fired:
+        result.verdict = "unfired"
+        result.detail = "the injected worker fault never fired"
+    return result
+
+
+def _invariant(
+    result: ChaosCase, source: str, output: Any
+) -> Tuple[str, str]:
+    """The verdict and detail for one output; records its tiers and
+    diagnostic codes on *result*."""
+    if output is None:
+        return "unanswered", "no reply before the connection closed"
+    if isinstance(output, ProgramAssembly):
+        diagnostics = [d.to_dict() for d in output.diagnostics]
+        tiers, failed, text = output.tiers, output.failed, output.text
+        target, refused = output.target, False
+    else:
+        diagnostics = output.get("diagnostics", [])
+        tiers, failed = output.get("tiers", {}), output.get("failed", [])
+        text, target = output.get("assembly", ""), None
+        refused = not output.get("ok") and not failed
+    result.tiers = dict(tiers)
+    result.codes = dict(Counter(d.get("code", "?") for d in diagnostics))
+    if refused:
+        error = output.get("error")
+        if isinstance(error, dict) and error.get("type"):
+            return "failed-clean", str(error["type"])
+        return "uncontained", f"unstructured failure: {output!r:.200}"
+    named = {
+        d.get("function") for d in diagnostics
+        if d.get("severity") == ERROR
+    }
+    if failed:
+        if named.issuperset(failed):
+            return "failed-clean", f"failed: {','.join(failed)}"
+        return "uncontained", "a failed function has no error diagnostic"
+
+    program = compile_c(source)
+    calls = default_calls(program)
+    reference = _observe_interp(program, calls, MAX_STEPS)
+    if reference.error is not None:
+        return "skip", f"interp: {reference.error}"
+    observed = _observe(program, text, target, calls)
+    if observed.error is not None:
+        # output offered as good that cannot run: structured only when
+        # an error diagnostic came with it
+        verdict = "failed-clean" if named else "silent-miscompile"
+        return verdict, observed.error
+    if (observed.returns, observed.finals) \
+            != (reference.returns, reference.finals):
+        return "silent-miscompile", (
+            f"interp={reference.returns}/{reference.finals} "
+            f"got={observed.returns}/{observed.finals}"
+        )
+    healthy = (resolve_engine(), "cache")
+    if diagnostics or any(tier not in healthy for tier in tiers.values()):
+        return "recovered", ""
+    return "clean", ""
+
+
+def _observe(program, text: str, target: Any, calls) -> Observation:
+    """Run assembly *text* on *target*'s simulator against *calls*."""
+    try:
+        machine = resolve_target(target).make_simulator(
+            assemble(text), max_steps=MAX_STEPS
+        )
+    except Exception as exc:
+        return Observation(error=f"assemble {type(exc).__name__}: {exc}")
+    return observe_machine(program, machine, calls)
+
+
+def judge_storm(
+    scenario: str,
+    undisturbed: LoadReport,
+    disturbed: LoadReport,
+    kills: int,
+) -> ChaosCase:
+    """The kill storm's gate: every request answered, at least one
+    worker killed, and throughput under the storm at least
+    :data:`STORM_MIN_RATIO` of the undisturbed rate."""
+    ratio = (
+        disturbed.requests_per_sec / undisturbed.requests_per_sec
+        if undisturbed.requests_per_sec else 0.0
+    )
+    result = ChaosCase(
+        scenario=scenario, case=0, verdict="recovered",
+        detail=f"throughput ratio {ratio:.3f}, {kills} worker kill(s)",
+    )
+    if undisturbed.dropped_connections or disturbed.dropped_connections:
+        result.verdict = "unanswered"
+    elif not kills:
+        result.verdict = "unfired"
+    elif ratio < STORM_MIN_RATIO:
+        result.verdict = "degraded"
+    return result
+
+
+# --------------------------------------------------------------- sources
 def _case_source(seed: int, case: int) -> str:
     """A deterministic small workload for one chaos case."""
     from ..workloads.generator import WorkloadSpec, generate_workload
@@ -146,117 +299,29 @@ def _case_source(seed: int, case: int) -> str:
     ))
 
 
-def observe_text(
-    program, text: str, calls, max_steps: int = MAX_STEPS
-) -> Tuple[Optional[dict], str]:
-    """Assemble raw assembly *text* and run it against *calls* —
-    the observer for outputs that arrive without a
-    :class:`ProgramAssembly` (e.g. a compile-server response)."""
-    from ..sim.assembler import assemble
-    from ..sim.cpu import Vax
-
-    try:
-        vax = Vax(assemble(text), max_steps=max_steps)
-    except Exception as exc:
-        return None, f"assemble {type(exc).__name__}: {exc}"
-    return _observe_vax(program, vax, calls)
+def _sources(seed: int, cases: int, first: str = TINY_BLOCKER) -> List[str]:
+    """*first* for case 0 — by default the known minimal blocker, so the
+    de-bridge scenario always really blocks — then seeded workloads."""
+    return [
+        first if case == 0 else _case_source(seed, case)
+        for case in range(cases)
+    ]
 
 
-def _observe_assembly(
-    program, assembly: ProgramAssembly, calls, max_steps: int
-) -> Tuple[Optional[dict], str]:
-    """Run an already-built assembly; (state dict, "") or (None, error)."""
-    try:
-        vax = assembly.simulator(max_steps=max_steps)
-    except Exception as exc:
-        return None, f"assemble {type(exc).__name__}: {exc}"
-    return _observe_vax(program, vax, calls)
+# ----------------------------------------------------------- batch owner
+def _batch(compile_case: Callable[[str, random.Random], ProgramAssembly]):
+    """A batch-owner scenario: each case's source compiled by
+    ``compile_case(source, rng)``, and the assembly judged."""
+
+    def run(name: str, seed: int, cases: int, rng: random.Random):
+        return [
+            judge(name, case, source, compile_case(source, rng))
+            for case, source in enumerate(_sources(seed, cases))
+        ]
+
+    return run
 
 
-def _observe_vax(program, vax, calls) -> Tuple[Optional[dict], str]:
-    from .oracle import _global_reads
-
-    returns: Dict[str, int] = {}
-    try:
-        for index, (entry, args) in enumerate(calls):
-            returns[f"{index}:{entry}"] = _sign32(int(
-                vax.call(entry, list(args))
-            ))
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    finals: Dict[str, object] = {}
-    for name, element, count in _global_reads(program):
-        base = vax.address_of(name)
-        if element.is_float:
-            values = tuple(
-                vax.float_store.get(base + element.size * i, 0.0)
-                for i in range(count)
-            )
-        else:
-            values = tuple(
-                vax.read_memory(base + element.size * i, element.size,
-                                signed=element.signed)
-                for i in range(count)
-            )
-        finals[name] = values if count > 1 else values[0]
-    return {"returns": returns, "finals": finals}, ""
-
-
-def _judge(
-    scenario: str, case: int, source: str, assembly: ProgramAssembly
-) -> ChaosCase:
-    """Apply the resilience invariant to one compiled program."""
-    result = ChaosCase(
-        scenario=scenario, case=case, verdict="clean",
-        tiers=dict(assembly.tiers), codes=assembly.diagnostics.counts(),
-    )
-    program = compile_c(source)
-    calls = default_calls(program)
-
-    if assembly.failed:
-        # a terminal failure is acceptable ONLY when it is structured:
-        # an error-severity diagnostic names every failed function
-        named = {d.function for d in assembly.diagnostics.errors}
-        if all(name in named for name in assembly.failed):
-            result.verdict = "failed-clean"
-            result.detail = f"failed: {','.join(assembly.failed)}"
-        else:
-            result.verdict = "uncontained"
-            result.detail = "failed function missing an error diagnostic"
-        return result
-
-    reference = _observe_interp(program, calls, MAX_STEPS)
-    if reference.error is not None:
-        result.verdict = "skip"
-        result.detail = f"interp: {reference.error}"
-        return result
-
-    observed, error = _observe_assembly(program, assembly, calls, MAX_STEPS)
-    if observed is None:
-        # the compile claimed success but the output cannot run: only a
-        # recorded error diagnostic makes this a structured failure
-        result.verdict = (
-            "failed-clean" if not assembly.diagnostics.ok else "uncontained"
-        )
-        result.detail = error
-        return result
-
-    if (observed["returns"] != reference.returns
-            or observed["finals"] != reference.finals):
-        result.verdict = "silent-miscompile"
-        result.detail = (
-            f"interp={reference.returns}/{reference.finals} "
-            f"got={observed['returns']}/{observed['finals']}"
-        )
-        return result
-
-    recovered = any(tier != "packed" for tier in assembly.tiers.values())
-    if recovered or len(assembly.diagnostics):
-        result.verdict = "recovered"
-    return result
-
-
-# ------------------------------------------------------------- scenarios
 def _run_table_corrupt(source: str, rng: random.Random) -> ProgramAssembly:
     def rot(payload: Any) -> Any:
         """Flip argument words of the packed action rows in a stored
@@ -305,54 +370,309 @@ def _run_de_bridge(source: str, rng: random.Random) -> ProgramAssembly:
     return compile_program(source, generator=gen, resilient=True)
 
 
-def _pick_victim(source: str, rng: random.Random) -> str:
-    order = compile_c(source).order
-    return order[rng.randrange(len(order))]
+def _batch_worker_fault(action: str, timeout: Optional[float] = None):
+    """Batch ``worker-kill`` / ``worker-hang``: the worker handed one
+    function, picked per case, is killed or hangs on every attempt, so
+    the supervisor restarts it, re-dispatches once and gives up; the
+    parent recompiles that batch alone (``WORKER-*`` errors) and the
+    keep-alive's crash or hang count must rise."""
+
+    def run(name: str, seed: int, cases: int, rng: random.Random):
+        results = []
+        for case, source in enumerate(_sources(seed, cases, BLOCKER_PAIR)):
+            order = compile_c(source).order
+            victim = order[rng.randrange(len(order))]
+            supervisor, seen = _keepalive_failures()
+            with inject(FaultPlan(action, functions=(victim,))):
+                output = compile_program(
+                    source, resilient=True, jobs=2, timeout=timeout
+                )
+            now_supervisor, now_seen = _keepalive_failures()
+            fired = now_seen > (seen if now_supervisor is supervisor else 0)
+            results.append(judge(name, case, source, output, fired))
+        return results
+
+    return run
 
 
-def _run_with_env(
-    source: str, variable: str, value: str, timeout: Optional[float]
-) -> ProgramAssembly:
-    """Compile on the batch workers with a chaos variable set.
+def _keepalive_failures() -> Tuple[Any, int]:
+    """The batch keep-alive's supervisor and its crash-plus-hang count."""
+    keepalive = compile_mod._KEEPALIVE
+    if keepalive is None:
+        return None, 0
+    supervisor = keepalive.supervisor
+    return supervisor, supervisor.crashes + supervisor.hangs
 
-    Workers read the environment they were forked with, so the
-    keep-alive is retired twice: once after arming the variable (or
-    earlier workers would never see the fault) and once after restoring
-    it (or later compiles would run in armed workers)."""
-    saved = os.environ.get(variable)
-    os.environ[variable] = value
-    shutdown_worker_pools()
-    try:
-        return compile_program(
-            source, resilient=True, jobs=2, parallel="process",
-            timeout=timeout,
+
+# --------------------------------------------------------- service owner
+class _LiveServer:
+    """A compile server on a private unix socket, served by a background
+    thread."""
+
+    def __init__(self, directory: str, **options: Any) -> None:
+        self.socket_path = os.path.join(directory, "chaos.sock")
+        self.server = CompileServer(path=self.socket_path, **options)
+        self.server.bind()
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
         )
-    finally:
-        if saved is None:
-            del os.environ[variable]
-        else:
-            os.environ[variable] = saved
-        shutdown_worker_pools()
+
+    def __enter__(self) -> "_LiveServer":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        if self.thread.is_alive():
+            self.request({"op": "shutdown"})
+        self.thread.join(timeout=30)
+
+    def request(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """One request on its own connection; ``None`` means the service
+        never answered it."""
+        try:
+            with CompileClient(path=self.socket_path) as client:
+                return client.request(payload)
+        except Exception:
+            return None
+
+    def compile(self, source: str) -> Optional[Dict[str, Any]]:
+        return self.request({"op": "compile", "source": source})
+
+    def failures(self) -> int:
+        """The supervisor's crash-plus-hang count so far."""
+        stats = self.request({"op": "stats"}) or {}
+        supervisor = stats.get("supervisor") or {}
+        return supervisor.get("crashes", 0) + supervisor.get("hangs", 0)
 
 
-def _run_worker_kill(source: str, rng: random.Random) -> ProgramAssembly:
-    victim = _pick_victim(source, rng)
-    return _run_with_env(source, "REPRO_CHAOS_KILL_FN", victim, None)
+def _serve_worker_fault(action: str, **options: Any):
+    """Service ``serve-worker-kill`` / ``serve-worker-hang``: the first
+    attempt of every request's job is killed or hangs past the job
+    timeout; the retry must answer correctly (``WORKER-*`` warnings) and
+    the supervisor must see each fault."""
+
+    def run(name: str, seed: int, cases: int, rng: random.Random):
+        results = []
+        with tempfile.TemporaryDirectory() as directory, _LiveServer(
+            directory, workers=2, result_cache=False, max_retries=2,
+            **options,
+        ) as live, inject(FaultPlan(action, attempt=1)):
+            for case, source in enumerate(_sources(seed, cases)):
+                seen = live.failures()
+                reply = live.compile(source)
+                results.append(judge(
+                    name, case, source, reply, live.failures() > seen
+                ))
+        return results
+
+    return run
 
 
-def _run_worker_hang(source: str, rng: random.Random) -> ProgramAssembly:
-    victim = _pick_victim(source, rng)
-    return _run_with_env(
-        source, "REPRO_CHAOS_HANG_FN", f"{victim}:20", timeout=2.0
-    )
+def _run_serve_cache_corrupt(
+    name: str, seed: int, cases: int, rng: random.Random
+) -> List[ChaosCase]:
+    """Corrupt every persistent result-cache entry between two servers;
+    the checksummed envelope must quarantine and recompile."""
+    sources = _sources(seed, cases)
+    with tempfile.TemporaryDirectory() as directory:
+        cache_dir = os.path.join(directory, "cache")
+        with _LiveServer(
+            directory, workers=2, result_cache_dir=cache_dir
+        ) as live:
+            for source in sources:  # populate the persistent tier
+                live.compile(source)
+        _corrupt_tree(cache_dir, rng)
+        # A fresh server on the same directory has a cold memory tier,
+        # so every request must consult the corrupt envelope.
+        with _LiveServer(
+            directory, workers=2, result_cache_dir=cache_dir
+        ) as live:
+            return [
+                judge(name, case, source, live.compile(source))
+                for case, source in enumerate(sources)
+            ]
 
 
-_RUNNERS: Dict[str, Callable[[str, random.Random], ProgramAssembly]] = {
-    "table-corrupt": _run_table_corrupt,
-    "cache-corrupt": _run_cache_corrupt,
-    "de-bridge": _run_de_bridge,
-    "worker-kill": _run_worker_kill,
-    "worker-hang": _run_worker_hang,
+def _corrupt_tree(root: str, rng: random.Random) -> None:
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            try:
+                data = bytearray(open(path, "rb").read())
+            except OSError:
+                continue
+            if not data:
+                continue
+            if rng.random() < 0.5:
+                data = data[:rng.randrange(1, max(2, len(data)))]
+            else:
+                data[rng.randrange(len(data))] ^= 0xFF
+            with open(path, "wb") as handle:
+                handle.write(bytes(data))
+
+
+def _run_malformed_frames(
+    name: str, seed: int, cases: int, rng: random.Random
+) -> List[ChaosCase]:
+    """Feed the server truncated and mutated frames raw; each bad peer
+    gets a protocol error or a clean close, and a well-formed request
+    afterwards must still be answered correctly."""
+    results: List[ChaosCase] = []
+    good = encode_frame({"op": "compile", "source": TINY_BLOCKER})
+    mutations = ("truncate", "flip", "length", "garbage")
+    with tempfile.TemporaryDirectory() as directory, _LiveServer(
+        directory, workers=0
+    ) as live:
+        for case in range(max(1, cases) * 4):
+            data = bytearray(good)
+            choice = case % 4
+            if choice == 0:      # truncate mid-frame
+                data = data[:rng.randrange(1, len(data))]
+            elif choice == 1:    # flip a byte in the JSON body
+                data[rng.randrange(4, len(data))] ^= 0xFF
+            elif choice == 2:    # lie about the length
+                data[:4] = (1 << 30).to_bytes(4, "big")
+            else:                # pure garbage
+                data = bytearray(os.urandom(rng.randrange(1, 64)))
+            results.append(ChaosCase(
+                scenario=name, case=case,
+                verdict=_poke_raw(live.socket_path, bytes(data)),
+                detail=f"mutation={mutations[choice]}",
+            ))
+        # the server must have survived all of it
+        results.append(judge(
+            name, len(results), TINY_BLOCKER, live.compile(TINY_BLOCKER)
+        ))
+    return results
+
+
+def _poke_raw(path: str, data: bytes) -> str:
+    """Send raw bytes; expect a frame back or a clean close within the
+    timeout — a hang or an exception is ``uncontained``."""
+    try:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(10.0)
+        sock.connect(path)
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        try:
+            reply = recv_frame(sock)
+        except Exception:
+            reply = None  # decoder-level close; still contained
+        sock.close()
+    except socket.timeout:
+        return "uncontained"
+    except OSError:
+        return "failed-clean"  # reset mid-write: the peer was dropped
+    if reply is None or not reply.get("ok", True):
+        return "failed-clean"
+    return "clean"  # a truncation can still parse as a valid frame
+
+
+def _run_slow_client(
+    name: str, seed: int, cases: int, rng: random.Random
+) -> List[ChaosCase]:
+    """One peer trickles its frame byte-by-byte while a fast peer
+    compiles; both must be answered and the fast one must not stall."""
+    frame = encode_frame({"op": "compile", "source": TINY_BLOCKER, "id": "slow"})
+    with tempfile.TemporaryDirectory() as directory, _LiveServer(
+        directory, workers=2
+    ) as live:
+        slow = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        slow.settimeout(30.0)
+        slow.connect(live.socket_path)
+        fast: List[Tuple[Optional[Dict[str, Any]], float]] = []
+        fast_thread = threading.Thread(target=lambda: fast.append(
+            (live.compile(TINY_BLOCKER), time.monotonic())
+        ))
+        started = time.monotonic()
+        fast_thread.start()
+        step = max(1, len(frame) // 40)
+        for offset in range(0, len(frame), step):
+            slow.sendall(frame[offset:offset + step])
+            time.sleep(0.02)
+        trickled = time.monotonic() - started
+        fast_thread.join(timeout=30)
+        try:
+            reply = recv_frame(slow)
+        except Exception:
+            reply = None
+        slow.close()
+    fast_reply, answered = fast[0] if fast else (None, started)
+    first = judge(name, 0, TINY_BLOCKER, fast_reply)
+    first.detail = (
+        f"{first.detail} fast client answered in "
+        f"{answered - started:.2f}s while the peer trickled for "
+        f"{trickled:.2f}s"
+    ).strip()
+    return [first, judge(name, 1, TINY_BLOCKER, reply)]
+
+
+def _run_cache_readonly(
+    name: str, seed: int, cases: int, rng: random.Random
+) -> List[ChaosCase]:
+    """The result-cache directory stops accepting writes mid-service;
+    compiles must keep succeeding with stores failing silently."""
+    with tempfile.TemporaryDirectory() as directory:
+        cache_dir = os.path.join(directory, "cache")
+        os.makedirs(cache_dir)
+        os.chmod(cache_dir, stat.S_IRUSR | stat.S_IXUSR)
+        try:
+            with _LiveServer(
+                directory, workers=2, result_cache_dir=cache_dir
+            ) as live:
+                return [
+                    judge(name, case, source, live.compile(source))
+                    for case, source in enumerate(_sources(seed, cases))
+                ]
+        finally:
+            os.chmod(cache_dir, stat.S_IRWXU)
+
+
+def _run_kill_storm(
+    name: str, seed: int, cases: int, rng: random.Random
+) -> List[ChaosCase]:
+    """Throughput under a sustained kill storm: a two-worker server
+    (result cache off, so every request crosses a worker; breaker off,
+    so the measurement is recovery, not shedding) measured undisturbed,
+    then with a plan killing at most one worker per
+    :data:`STORM_INTERVAL` (:func:`judge_storm`)."""
+    source = _case_source(seed, 1)
+    with tempfile.TemporaryDirectory() as directory, _LiveServer(
+        directory, workers=2, result_cache=False, max_retries=3,
+        breaker=False,
+    ) as live:
+        live.compile(source)  # warm the worker memos
+        load = dict(
+            sources=[source], clients=STORM_CLIENTS,
+            requests_per_client=STORM_REQUESTS, path=live.socket_path,
+        )
+        undisturbed = run_load(label="undisturbed", **load)
+        seen = live.failures()
+        with inject(FaultPlan("kill", interval=STORM_INTERVAL)):
+            disturbed = run_load(label="kill-storm", **load)
+        kills = live.failures() - seen
+    return [judge_storm(name, undisturbed, disturbed, kills)]
+
+
+# -------------------------------------------------------------- registry
+#: Scenario name -> runner ``(name, seed, cases, rng) -> [ChaosCase]``;
+#: the module docstring lists each one's owner and fault.
+SCENARIOS: Dict[
+    str, Callable[[str, int, int, random.Random], List[ChaosCase]]
+] = {
+    "table-corrupt": _batch(_run_table_corrupt),
+    "cache-corrupt": _batch(_run_cache_corrupt),
+    "de-bridge": _batch(_run_de_bridge),
+    "worker-kill": _batch_worker_fault("kill"),
+    "worker-hang": _batch_worker_fault("hang", timeout=2.0),
+    "serve-worker-kill": _serve_worker_fault("kill"),
+    "serve-worker-hang": _serve_worker_fault("hang", job_timeout=1.5),
+    "serve-cache-corrupt": _run_serve_cache_corrupt,
+    "malformed-frames": _run_malformed_frames,
+    "slow-client": _run_slow_client,
+    "cache-readonly": _run_cache_readonly,
+    "kill-storm": _run_kill_storm,
 }
 
 
@@ -362,43 +682,33 @@ def run_chaos(
     scenarios: Optional[List[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ChaosReport:
-    """Run the chaos campaign; deterministic for a given seed.
-
-    Case 0 of every scenario uses :data:`TINY_BLOCKER` (guaranteeing the
-    de-bridge scenario a genuine block); later cases draw small fuzz
-    workloads from the seeded generator.
-    """
+    """Run *scenarios* (default: the whole registry) with
+    *cases_per_scenario* cases each; deterministic for a seed, up to
+    scheduling, which the invariants are robust to."""
     chosen = list(scenarios) if scenarios else list(SCENARIOS)
-    unknown = [s for s in chosen if s not in _RUNNERS]
+    unknown = [name for name in chosen if name not in SCENARIOS]
     if unknown:
         raise ValueError(f"unknown chaos scenario(s) {unknown}; "
-                         f"have {sorted(_RUNNERS)}")
+                         f"have {sorted(SCENARIOS)}")
     report = ChaosReport(seed=seed)
-    for scenario in chosen:
-        for case in range(cases_per_scenario):
-            # stable across processes: hash() is PYTHONHASHSEED-random
-            tag = int.from_bytes(
-                hashlib.sha256(scenario.encode()).digest()[:2], "big"
-            )
-            rng = random.Random((seed << 24) ^ tag ^ (case << 4))
-            source = (
-                TINY_BLOCKER if case == 0 else _case_source(seed, case)
-            )
-            if progress:
-                progress(f"chaos: {scenario} case {case} ...")
-            try:
-                assembly = _RUNNERS[scenario](source, rng)
-            except Exception as exc:
-                report.cases.append(ChaosCase(
-                    scenario=scenario, case=case, verdict="uncontained",
-                    detail=f"pipeline raised {type(exc).__name__}: {exc}",
-                ))
-                continue
-            verdict = _judge(scenario, case, source, assembly)
+    for name in chosen:
+        if progress:
+            progress(f"chaos: {name} ...")
+        # stable across processes: hash() is PYTHONHASHSEED-random
+        tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:2], "big")
+        rng = random.Random((seed << 24) ^ tag)
+        try:
+            cases = SCENARIOS[name](name, seed, cases_per_scenario, rng)
+        except Exception as exc:
+            cases = [ChaosCase(
+                scenario=name, case=0, verdict="uncontained",
+                detail=f"harness raised {type(exc).__name__}: {exc}",
+            )]
+        for case in cases:
             if progress:
                 progress(
-                    f"chaos: {scenario} case {case}: {verdict.verdict}"
-                    + (f" ({verdict.detail})" if verdict.detail else "")
+                    f"chaos: {name} case {case.case}: {case.verdict}"
+                    + (f" ({case.detail})" if case.detail else "")
                 )
-            report.cases.append(verdict)
+        report.cases.extend(cases)
     return report

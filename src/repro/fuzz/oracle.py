@@ -148,7 +148,17 @@ def _observe_backend(program: CompiledProgram, source: str, backend: str,
     except Exception as exc:  # noqa: BLE001
         observation.error = f"compile {type(exc).__name__}: {exc}"
         return observation
+    observation = observe_machine(program, vax, calls, init_globals)
     observation.instructions = assembly.instruction_count
+    return observation
+
+
+def observe_machine(program: CompiledProgram, vax, calls: Calls,
+                    init_globals: Optional[dict] = None) -> Observation:
+    """Run *calls* on the simulator *vax* (any target's) holding
+    *program*'s assembly, globals seeded from *init_globals*: the return
+    values and final globals, or how the run failed."""
+    observation = Observation()
     for name, element, index, value in _seed_layout(program, init_globals):
         address = vax.address_of(name) + element.size * index
         if element.is_float:

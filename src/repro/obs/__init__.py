@@ -14,7 +14,7 @@ Three layers, cheapest first:
   cache costs, the metrics snapshot, and timing-invariant checks.
 
 Worker processes ship their observability home by value: every job a
-supervised worker runs (:func:`repro.server.supervisor._run_request`)
+supervised worker runs (:func:`repro.workers._run_request`)
 opens its own metrics window and, when the caller traces, its own span
 recorder, and returns the metrics delta and span records in its
 ``JobOutcome``.  The batch driver folds them into the parent's registry

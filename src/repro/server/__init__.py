@@ -14,11 +14,12 @@ delta, and (on request) a span trace.
 Every compile request takes one path: validate and probe the result
 cache in the server, compile the misses, assemble the response in the
 server.  With ``--workers N`` the service is *self-healing*: the misses
-compile on N supervised warm subprocesses (health probes, crash/hang
-detection, restart with backoff, bounded re-dispatch), a
-per-failure-class circuit breaker sheds load when the backend is
-failing, and SIGTERM/SIGINT drains gracefully — every admitted request
-is answered, worst case with a structured ``SERVER-SHUTDOWN`` error.
+compile on N supervised warm subprocesses of the worker substrate
+(:mod:`repro.workers`: health probes, crash/hang detection, restart
+with backoff, bounded re-dispatch), a per-failure-class circuit breaker
+sheds load when the backend is failing, and SIGTERM/SIGINT drains
+gracefully — every admitted request is answered, worst case with a
+structured ``SERVER-SHUTDOWN`` error.
 
 Five modules::
 
@@ -27,29 +28,23 @@ Five modules::
     server.py        CompileServer: async accept loop, admission queue,
                      deadlines, the one compile path, result cache,
                      graceful drain
-    supervisor.py    WorkerSupervisor + CircuitBreaker: supervised
-                     compile subprocesses, retries, breaker
+    breaker.py       CircuitBreaker: per-failure-class load shedding
     client.py        CompileClient: jittered connect retry, pipelining
     loadgen.py       concurrent load harness behind ``ggcc load-test``
 """
 
+from .breaker import BreakerPolicy, CircuitBreaker
 from .client import CompileClient
-from .loadgen import LoadReport, resilience_report, run_load
+from .loadgen import LoadReport, run_load
 from .protocol import (
     FrameDecoder, ProtocolError, encode_frame, read_frame_async,
     recv_frame, send_frame, write_frame_async,
 )
 from .server import CompileServer
-from .supervisor import (
-    BreakerPolicy, CircuitBreaker, JobOutcome, WorkerFailure,
-    WorkerSupervisor,
-)
 
 __all__ = [
     "CompileClient", "CompileServer", "ProtocolError", "FrameDecoder",
     "encode_frame", "recv_frame", "send_frame",
     "read_frame_async", "write_frame_async",
-    "LoadReport", "run_load", "resilience_report",
-    "WorkerSupervisor", "CircuitBreaker", "BreakerPolicy",
-    "JobOutcome", "WorkerFailure",
+    "LoadReport", "run_load", "CircuitBreaker", "BreakerPolicy",
 ]

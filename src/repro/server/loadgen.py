@@ -23,12 +23,9 @@ server on a temp unix socket and measures two rows against it:
 
 The report is what ``benchmarks/run_all.py`` writes to
 ``BENCH_server.json``; regenerate it with ``ggcc load-test`` (see
-EXPERIMENTS.md).
-
-:func:`resilience_report` is the self-healing row: a *supervised*
-server measured undisturbed and then under a sustained worker-kill
-barrage (the chaos marker re-armed on an interval), gated on the
-disturbed/undisturbed throughput ratio staying >= 0.5.
+EXPERIMENTS.md).  The chaos harness's ``kill-storm`` scenario
+(:mod:`repro.fuzz.chaos`) drives :func:`run_load` against a supervised
+server under sustained worker kills.
 """
 
 from __future__ import annotations
@@ -323,107 +320,4 @@ def load_test_report(
             "breaker": stats.get("breaker"),
             "result_cache": stats.get("result_cache"),
         },
-    }
-
-
-def resilience_report(
-    clients: int = 8,
-    requests_per_client: int = 4,
-    functions: int = 2,
-    statements: int = 4,
-    workers: int = 2,
-    seed: int = 1982,
-    kill_interval: float = 0.15,
-) -> Dict[str, Any]:
-    """Throughput under a sustained worker-kill barrage.
-
-    Boots a *supervised* server (``workers`` subprocesses, result cache
-    off so every request crosses a worker, breaker off so the
-    measurement is of recovery throughput rather than load shedding),
-    measures an undisturbed row, then re-measures with a killer thread
-    re-arming the chaos kill marker every ``kill_interval`` seconds —
-    each arming murders one worker at its next job receipt.  The
-    self-healing acceptance gate is ``throughput_ratio >= 0.5``: under
-    sustained worker murder the service keeps serving at at least half
-    its undisturbed rate.
-    """
-    import os
-
-    from .client import CompileClient
-    from .server import CompileServer
-    from .supervisor import ENV_KILL_ONCE
-
-    warm_source = generate_workload(
-        functions=functions, statements_per_function=statements,
-        seed=seed - 1,
-    )
-    with tempfile.TemporaryDirectory(prefix="ggcc-resil-") as tmp:
-        socket_path = f"{tmp}/ggcc.sock"
-        marker = f"{tmp}/kill.marker"
-        saved = os.environ.get(ENV_KILL_ONCE)
-        os.environ[ENV_KILL_ONCE] = marker
-        try:
-            server = CompileServer(
-                path=socket_path, workers=workers,
-                result_cache=False, max_retries=3, breaker=False,
-            )
-            server.bind()
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            try:
-                with CompileClient(path=socket_path) as warmup:
-                    warmup.compile(warm_source)  # warm the worker memos
-                undisturbed = run_load(
-                    [warm_source], clients=clients,
-                    requests_per_client=requests_per_client,
-                    path=socket_path, label="undisturbed",
-                )
-                stop = threading.Event()
-
-                def _killer() -> None:
-                    while not stop.is_set():
-                        open(marker, "w").close()
-                        stop.wait(kill_interval)
-                    try:
-                        os.unlink(marker)
-                    except OSError:
-                        pass
-
-                killer = threading.Thread(target=_killer, daemon=True)
-                killer.start()
-                try:
-                    disturbed = run_load(
-                        [warm_source], clients=clients,
-                        requests_per_client=requests_per_client,
-                        path=socket_path, label="worker-kill",
-                    )
-                finally:
-                    stop.set()
-                    killer.join(timeout=5)
-                with CompileClient(path=socket_path) as admin:
-                    stats = admin.stats()
-                    admin.shutdown()
-            finally:
-                thread.join(timeout=30)
-        finally:
-            if saved is None:
-                os.environ.pop(ENV_KILL_ONCE, None)
-            else:
-                os.environ[ENV_KILL_ONCE] = saved
-
-    undisturbed_rps = undisturbed.requests_per_sec
-    disturbed_rps = disturbed.requests_per_sec
-    return {
-        "workers": workers,
-        "kill_interval_seconds": kill_interval,
-        "undisturbed": undisturbed.to_dict(),
-        "disturbed": disturbed.to_dict(),
-        "throughput_ratio": round(
-            disturbed_rps / undisturbed_rps, 3
-        ) if undisturbed_rps else 0.0,
-        "supervisor": stats.get("supervisor"),
-        "note": "result cache and breaker disabled: every request "
-                "crosses a worker, sheds would hide recovery throughput",
     }

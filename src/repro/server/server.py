@@ -13,7 +13,7 @@ Every compile request takes one path, whatever the backend:
    one probe rule (a disabled cache misses everything).
 2. **Compile the misses** with the one job body
    (:func:`repro.compile.compile_functions`, wrapped by
-   :func:`repro.server.supervisor._run_request`): on the executor
+   :func:`repro.workers._run_request`): on the executor
    thread (``workers=0``), or in a supervised worker subprocess
    (``workers=N``).  A unit whose every function hits skips this step,
    so full hits never cross a pipe.
@@ -53,11 +53,11 @@ The service is an asyncio accept loop built for concurrent load:
   compile.
 * **Supervised workers** (``workers=N``).  The compile step dispatches
   to N warm worker *subprocesses* under a :class:`WorkerSupervisor
-  <repro.server.supervisor.WorkerSupervisor>`: a crashed or hung worker
+  <repro.workers.WorkerSupervisor>`: a crashed or hung worker
   is detected, killed, restarted with backoff, and its job
   re-dispatched to a healthy sibling (bounded by ``max_retries``;
   idempotent because results are content-addressed).  A per-failure-
-  class :class:`~repro.server.supervisor.CircuitBreaker` sheds load
+  class :class:`~repro.server.breaker.CircuitBreaker` sheds load
   with ``SERVER-CIRCUIT-OPEN`` instead of queueing onto a failing
   backend.
 * **Graceful drain.**  SIGTERM/SIGINT (or the ``shutdown`` op) stops
@@ -120,10 +120,11 @@ from .protocol import (
     ProtocolError, read_frame_async, write_frame_async,
 )
 from ..result_cache import ResultCache, table_fingerprint
-from .supervisor import (
-    CircuitBreaker, DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES, JobOutcome,
-    WorkerSupervisor, _run_request,
+from ..workers import (
+    DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES, FAILURE_CODES, JobOutcome,
+    WorkerSupervisor, _run_request, report_worker_failures,
 )
+from .breaker import CircuitBreaker
 
 #: Admission-queue capacity when the caller doesn't choose one.  Large
 #: enough that a burst of concurrent clients queues rather than sheds,
@@ -222,7 +223,7 @@ class CompileServer:
     and a circuit breaker; ``workers=0`` runs it on the compile
     executor thread.  ``breaker``
     may be ``False`` (off), a ready
-    :class:`~repro.server.supervisor.CircuitBreaker` (tests), or
+    :class:`~repro.server.breaker.CircuitBreaker` (tests), or
     ``None`` — a default breaker when workers are supervised.
     ``drain_grace`` bounds how long shutdown waits for in-flight work
     before abandoning it with ``SERVER-SHUTDOWN``.
@@ -908,19 +909,19 @@ class CompileServer:
         misses' fresh outcomes, in source order under the unit's data
         section — or the error that ended the job.  A strict request
         whose miss needed a rescue answers ``CompileError`` and stores
-        nothing.  Diagnostics list worker crashes and retries first,
-        then the generator's table-cache repairs, then each fresh
-        function's own.  Closes the request's metrics and span
-        windows."""
+        nothing.  Diagnostics list the job's worker failures first, then
+        the generator's table-cache repairs, then each fresh function's
+        own.  Closes the request's metrics and span windows."""
         with _recording(probe.recorder):
             REGISTRY.drain()  # open the assembly-side metrics window
-            diagnostics = _crash_diagnostics(outcome)
-            repairs = DiagnosticSink()
-            _report_table_cache(self.generator, repairs)
-            diagnostics.extend(d.to_dict() for d in repairs.records())
+            diagnostics = DiagnosticSink()
+            report_worker_failures(
+                outcome, probe.misses, self.job_timeout, diagnostics
+            )
+            _report_table_cache(self.generator, diagnostics)
             if outcome.failed:
                 response = _error(
-                    codes.SERVER_WORKER_CRASH,
+                    FAILURE_CODES[outcome.failures[-1]],
                     "the compile's worker failed on every attempt "
                     f"({outcome.attempts} attempt(s): "
                     f"{', '.join(outcome.failures)})",
@@ -945,7 +946,9 @@ class CompileServer:
             if "error" in response:
                 self.errors += 1
             response["op"] = "compile"
-            response["diagnostics"] = diagnostics
+            response["diagnostics"] = [
+                d.to_dict() for d in diagnostics.records()
+            ]
             if self.result_cache is not None:
                 response["result_cache"] = {
                     "hits": len(probe.entries), "misses": len(probe.misses),
@@ -965,25 +968,29 @@ class CompileServer:
         self,
         probe: _Probe,
         outcomes: List[Any],
-        diagnostics: List[Dict[str, Any]],
+        diagnostics: DiagnosticSink,
     ) -> Dict[str, Any]:
         """The body of a compiled unit's response: cached texts for the
         hits, the fresh *outcomes* (one
         :class:`~repro.codegen.recovery.LadderOutcome` per miss) for the
-        misses, each stored through the healthy-only gate, and their
-        diagnostics appended to *diagnostics*."""
+        misses, their diagnostics added to *diagnostics*, and each stored
+        through the healthy-only gate — which, as in the batch driver,
+        skips every function a diagnostic names, a worker failure's
+        included."""
         texts = {name: hit["assembly"] for name, hit in probe.entries.items()}
         tiers = dict.fromkeys(probe.entries, "cache")
         for outcome in outcomes:
+            texts[outcome.name] = outcome.result.assembly
+            tiers[outcome.name] = outcome.tier
+            diagnostics.extend(outcome.diagnostics)
+        flagged = {d.function for d in diagnostics.records() if d.function}
+        for outcome in outcomes:
             name, result = outcome.name, outcome.result
-            texts[name] = result.assembly
-            tiers[name] = outcome.tier
-            diagnostics.extend(d.to_dict() for d in outcome.diagnostics)
             if self.result_cache is not None:
                 self.result_cache.put_healthy(
                     probe.keys[name], name, result.assembly,
                     tier=outcome.tier,
-                    diagnosed=bool(outcome.diagnostics),
+                    diagnosed=name in flagged,
                     cpu_seconds=_function_seconds(result),
                     instructions=result.instruction_count,
                 )
@@ -1039,36 +1046,6 @@ def _recording(recorder: Optional[SpanRecorder]) -> Iterator[None]:
         yield
     finally:
         uninstall_recorder()
-
-
-def _crash_diagnostics(outcome: JobOutcome) -> List[Dict[str, Any]]:
-    """One ``SERVER-WORKER-CRASH`` per failed attempt of a supervised
-    job, plus ``SERVER-RETRY`` when a later attempt succeeded."""
-    recovered = not outcome.failed
-    diagnostics = [
-        Diagnostic(
-            code=codes.SERVER_WORKER_CRASH,
-            message=(
-                f"compile worker {kind} on attempt {attempt}; "
-                + ("the request was re-dispatched" if recovered
-                   else "the retry budget was exhausted")
-            ),
-            severity=codes.WARNING if recovered else codes.ERROR,
-            context={"attempt": attempt, "kind": kind},
-        ).to_dict()
-        for attempt, kind in enumerate(outcome.failures, start=1)
-    ]
-    if outcome.failures and recovered:
-        diagnostics.append(Diagnostic(
-            code=codes.SERVER_RETRY,
-            message=(
-                f"request succeeded on attempt {outcome.attempts} "
-                f"after {len(outcome.failures)} worker failure(s)"
-            ),
-            context={"attempts": outcome.attempts,
-                     "failures": list(outcome.failures)},
-        ).to_dict())
-    return diagnostics
 
 
 def _run_inline(coroutine: Any) -> Any:

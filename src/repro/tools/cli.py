@@ -14,19 +14,16 @@ The differential fuzzer is a subcommand with its own options::
 
     ggcc fuzz --seed 0 --budget 30 --jobs 4
 
-So is the chaos harness, which injects pipeline faults (corrupt tables,
-truncated cache entries, de-bridged grammars, dead workers) and asserts
-the recovery ladder never miscompiles silently::
+So is the chaos harness, one registry of fault scenarios for the batch
+driver (corrupt tables, truncated cache entries, de-bridged grammars,
+killed and hung batch workers) and for a live compile server (killed
+and hung supervised workers, a corrupt or read-only result cache,
+malformed frames, trickling clients, a sustained kill storm), judged by
+one invariant: zero silent miscompiles, zero unanswered requests, every
+failure structured::
 
     ggcc chaos --seed 0 --cases 2
-
-``chaos-serve`` lifts the same discipline to the service: it boots the
-real compile server and kills/hangs its supervised workers, corrupts
-the persistent result cache, feeds it malformed frames and trickling
-clients — asserting zero silent miscompiles and zero unanswered
-requests::
-
-    ggcc chaos-serve --scenario worker-kill --scenario worker-hang
+    ggcc chaos --scenario serve-worker-kill --scenario kill-storm
 
 Every function compiles through the recovery ladder.  By default a
 function that needed a rescue (or failed) is an error: exit status 1 and
@@ -55,18 +52,17 @@ admission queue with ``SERVER-OVERLOAD`` backpressure, per-request
 deadlines, and a content-addressed result cache for repeat traffic.
 ``load-test`` measures it: cold and warm rows of concurrent traffic
 with p50/p99 latency and throughput (``--out BENCH_server.json``
-regenerates the checked-in benchmark)::
+regenerates the checked-in benchmark).
 
 With ``--workers N`` the server becomes self-healing: compiles run on
 N supervised warm subprocesses with crash/hang detection, restart with
 backoff, bounded re-dispatch, a circuit breaker, and SIGTERM/SIGINT
-graceful drain.  ``load-test --resilience`` measures throughput under a
-sustained worker-kill barrage next to the undisturbed warm row::
+graceful drain (the chaos ``kill-storm`` scenario measures throughput
+under sustained worker kills)::
 
     ggcc serve --socket /tmp/ggcc.sock --queue-limit 256
     ggcc serve --socket /tmp/ggcc.sock --workers 4 --job-timeout 30
     ggcc load-test --clients 50 --requests 4 --out BENCH_server.json
-    ggcc load-test --resilience --out BENCH_server.json
 """
 
 from __future__ import annotations
@@ -256,11 +252,15 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="ggcc chaos",
-        description="pipeline fault injection: corrupt packed tables, "
-                    "truncate cache entries, remove bridge productions, "
-                    "kill and hang batch workers — then assert every "
-                    "compile ends correct-or-cleanly-failed, never "
-                    "silently miscompiled",
+        description="fault injection against the batch driver (corrupt "
+                    "packed tables, truncated cache entries, removed "
+                    "bridge productions, killed and hung batch workers) "
+                    "and a live compile server (killed and hung "
+                    "supervised workers, corrupt or read-only result "
+                    "cache, malformed frames, trickling clients, a kill "
+                    "storm) — then assert every output agrees with the "
+                    "IR interpreter, every request is answered and every "
+                    "failure is structured",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="deterministic campaign seed")
@@ -268,7 +268,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
                         help="cases per scenario (default 2; case 0 is "
                              "the known minimal blocker)")
     parser.add_argument("--scenario", action="append", default=None,
-                        choices=SCENARIOS, dest="scenarios",
+                        choices=list(SCENARIOS), dest="scenarios",
                         help="run only this scenario (repeatable)")
     return parser
 
@@ -278,45 +278,6 @@ def chaos_main(argv: List[str]) -> int:
 
     options = build_chaos_parser().parse_args(argv)
     report = run_chaos(
-        seed=options.seed,
-        cases_per_scenario=options.cases,
-        scenarios=options.scenarios,
-        progress=print,
-    )
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.ok else 1
-
-
-def build_chaos_serve_parser() -> argparse.ArgumentParser:
-    from ..fuzz.chaos_serve import SERVE_SCENARIOS
-
-    parser = argparse.ArgumentParser(
-        prog="ggcc chaos-serve",
-        description="service fault injection: boot the real compile "
-                    "server and kill/hang its supervised workers, "
-                    "corrupt the persistent result cache, feed it "
-                    "malformed frames and trickling clients, make the "
-                    "cache dir read-only — then assert zero silent "
-                    "miscompiles (IR-interpreter oracle) and zero "
-                    "unanswered requests",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="deterministic campaign seed")
-    parser.add_argument("--cases", type=int, default=2,
-                        help="cases per scenario (default 2; case 0 is "
-                             "the known minimal blocker)")
-    parser.add_argument("--scenario", action="append", default=None,
-                        choices=SERVE_SCENARIOS, dest="scenarios",
-                        help="run only this scenario (repeatable)")
-    return parser
-
-
-def chaos_serve_main(argv: List[str]) -> int:
-    from ..fuzz.chaos_serve import run_chaos_serve
-
-    options = build_chaos_serve_parser().parse_args(argv)
-    report = run_chaos_serve(
         seed=options.seed,
         cases_per_scenario=options.cases,
         scenarios=options.scenarios,
@@ -387,7 +348,7 @@ def serve_main(argv: List[str]) -> int:
     from ..server import CompileServer
 
     from ..server.server import DEFAULT_QUEUE_LIMIT
-    from ..server.supervisor import DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES
+    from ..workers import DEFAULT_JOB_TIMEOUT, DEFAULT_MAX_RETRIES
 
     options = build_serve_parser().parse_args(argv)
     try:
@@ -530,14 +491,6 @@ def build_load_test_parser() -> argparse.ArgumentParser:
                         help="per-request deadline in seconds")
     parser.add_argument("--seed", type=int, default=1982,
                         help="workload seed (default 1982)")
-    parser.add_argument("--resilience", action="store_true",
-                        help="also measure a supervised server under a "
-                             "sustained worker-kill barrage and record "
-                             "the disturbed/undisturbed throughput "
-                             "ratio (gate: >= 0.5)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="supervised workers for --resilience "
-                             "(default 2)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the report as JSON to FILE "
                              "(e.g. BENCH_server.json)")
@@ -547,7 +500,7 @@ def build_load_test_parser() -> argparse.ArgumentParser:
 def load_test_main(argv: List[str]) -> int:
     import json
 
-    from ..server.loadgen import load_test_report, resilience_report
+    from ..server.loadgen import load_test_report
 
     options = build_load_test_parser().parse_args(argv)
     report = load_test_report(
@@ -559,10 +512,6 @@ def load_test_main(argv: List[str]) -> int:
         deadline=options.deadline,
         seed=options.seed,
     )
-    if options.resilience:
-        report["resilience"] = resilience_report(
-            workers=options.workers, seed=options.seed,
-        )
     if options.out:
         with open(options.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -574,12 +523,6 @@ def load_test_main(argv: List[str]) -> int:
         for row in ("cold", "warm")
         for key in ("errors", "id_mismatches", "dropped_connections")
     )
-    if options.resilience \
-            and report["resilience"]["throughput_ratio"] < 0.5:
-        print("ggcc load-test: resilience gate FAILED "
-              f"(ratio {report['resilience']['throughput_ratio']} < 0.5)",
-              file=sys.stderr)
-        return 1
     return 0 if integrity == 0 else 1
 
 
@@ -590,8 +533,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return fuzz_main(list(argv[1:]))
     if argv and argv[0] == "chaos":
         return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "chaos-serve":
-        return chaos_serve_main(list(argv[1:]))
     if argv and argv[0] == "profile":
         return profile_main(list(argv[1:]))
     if argv and argv[0] == "serve":

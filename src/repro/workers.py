@@ -1,11 +1,12 @@
-"""Supervised compile workers: the one process-worker layer.
+"""The worker substrate: supervised compile subprocesses and one fault seam.
 
 A :class:`WorkerSupervisor` owns ``N`` warm worker *subprocesses* — each
 runs :func:`repro.compile._pool_initializer` once, so constructed tables
 arrive by fork copy-on-write (or one content-addressed cache load under
 spawn) and stay resident for the worker's life — and makes its owner
-self-healing around them.  The owner is the compile service (``ggcc
-serve --workers N``) or the batch driver's keep-alive
+self-healing around them.  It has two owners: the compile service
+(``ggcc serve --workers N``, which adds the circuit breaker of
+:mod:`repro.server.breaker`) and the batch driver's keep-alive
 (``compile_program(jobs=N)``, probes off, no deadline unless given):
 
 * **Crash detection.**  A worker death (segfault, ``os._exit``, OOM
@@ -35,22 +36,16 @@ misses, or one batch — compiled by the one job body
 :func:`_run_request`) in a worker here or, with the server's
 ``workers=0``, on its executor thread.  The owner probes, checks
 strictness and assembles in the parent, so a request whose every
-function hits never crosses a pipe.
+function hits never crosses a pipe.  Both owners report a job's failed
+attempts through one function, :func:`report_worker_failures`.
 
-:class:`CircuitBreaker` is the admission-side half: it tracks failure
-events per *class* (``crash`` for worker deaths and hangs, ``deadline``
-for request deadline misses) in a sliding window and trips open when a
-class exceeds its threshold, shedding load with structured
-``SERVER-CIRCUIT-OPEN`` errors instead of queueing onto a failing
-backend; after a cooldown it goes half-open and admits one trial
-request whose outcome closes or reopens it.
-
-Service-level chaos hooks (consumed by ``ggcc chaos-serve``): the
-``REPRO_CHAOS_SERVE_KILL_ONCE`` / ``REPRO_CHAOS_SERVE_HANG_ONCE``
-environment variables name a *marker file*; a worker that successfully
-unlinks the marker at job receipt kills itself (``os._exit``) or sleeps
-— one faulty worker per armed marker, so a retry lands on a healthy one
-unless the harness re-arms the marker.
+**The fault seam.**  Faults enter through one object, a
+:class:`FaultPlan` armed with :func:`inject`.  Every supervisor in the
+process consults the armed plan in the parent at two points only:
+spawning a worker (fail its initializer) and sending a job attempt (kill
+or hang the worker that receives it).  The decision rides to the worker
+in its spawn arguments or in the job message, and the worker only obeys
+it.  Unarmed, the seam costs one read per job attempt.
 """
 
 from __future__ import annotations
@@ -59,17 +54,24 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Collection, Deque, Dict, Iterator, List, Optional,
+    Sequence, Tuple,
+)
 
-from ..compile import (
+from .compile import (
     _pool_initializer, _worker_program, compile_functions,
     shared_table_initargs,
 )
-from ..obs.metrics import REGISTRY
-from ..obs.spans import (
+from .diag import codes
+from .diag.diagnostics import DiagnosticSink
+from .obs.metrics import REGISTRY
+from .obs.spans import (
     current_recorder, install_recorder, span, uninstall_recorder,
 )
 
@@ -95,14 +97,16 @@ PROBE_TIMEOUT = 5.0
 REAP_POLL = 0.01
 REAP_GRACE = 5.0
 
-#: Service-level chaos hooks: each names a marker file consumed
-#: (unlinked) by the first worker that sees it at job receipt.
-ENV_KILL_ONCE = "REPRO_CHAOS_SERVE_KILL_ONCE"
-ENV_HANG_ONCE = "REPRO_CHAOS_SERVE_HANG_ONCE"
+#: How long a worker told to hang sleeps before compiling: longer than
+#: any deadline set against it, so the supervisor's deadline ends it.
+HANG_SECONDS = 30.0
 
-#: Worker exit codes: chaos kill, initializer failure.
-_EXIT_CHAOS = 23
+#: Worker exit codes: injected kill, initializer failure.
+_EXIT_FAULT = 23
 _EXIT_INIT = 13
+
+#: The diagnostic each kind of failed attempt is reported as.
+FAILURE_CODES = {"crash": codes.WORKER_CRASH, "hang": codes.WORKER_TIMEOUT}
 
 
 class WorkerFailure(Exception):
@@ -141,27 +145,118 @@ class JobOutcome:
         return self.functions is None and self.error is None
 
 
-# ------------------------------------------------------------ worker side
-def _consume_marker(path: str) -> bool:
-    """Atomically claim a chaos marker file: whoever unlinks it acts."""
+def report_worker_failures(
+    outcome: JobOutcome,
+    names: Sequence[str],
+    deadline: Optional[float],
+    sink: DiagnosticSink,
+) -> None:
+    """The worker-failure report of either owner: one ``WORKER-CRASH``
+    (the worker died) or ``WORKER-TIMEOUT`` (it missed the job's
+    *deadline*) per failed attempt of *outcome* per function of the
+    job's *names* — a warning when a retry recovered the job, an error
+    when the supervisor gave up on it.  Every function of the job is
+    named, so the healthy-only store gate keeps each out of the result
+    cache."""
+    if outcome.failed:
+        severity, then = codes.ERROR, "every attempt failed"
+    else:
+        severity, then = codes.WARNING, "the job was re-dispatched"
+    for attempt, kind in enumerate(outcome.failures, start=1):
+        if kind == "hang":
+            what = f"worker missed the job's {deadline:.3g}s deadline"
+            context = {"timeout_seconds": deadline}
+        else:
+            what, context = "worker died", {}
+        for name in names:
+            sink.add(
+                FAILURE_CODES[kind],
+                f"{what} on a job of {len(names)} function(s) "
+                f"(attempt {attempt}); {then}",
+                severity=severity, function=name, attempt=attempt,
+                kind=kind, **context,
+            )
+
+
+# ------------------------------------------------------------ fault seam
+@dataclass
+class FaultPlan:
+    """Which worker spawns and job attempts the parent makes fail.
+
+    ``action`` is what a chosen point does: ``"kill"`` — the worker
+    receiving the job attempt exits at once (``os._exit``, what a
+    segfault looks like to the supervisor); ``"hang"`` — it sleeps
+    :data:`HANG_SECONDS` first; ``"fail-init"`` — a worker being spawned
+    dies in its initializer, before any job.  A job attempt is chosen
+    when its job compiles one of ``functions`` (any job when empty) and
+    it is attempt number ``attempt`` of that job (any when ``None``).  A
+    chosen point fires only while the plan has fired fewer than
+    ``limit`` times (no bound when ``None``) and at least ``interval``
+    seconds after its last fire; ``fired`` counts the fires.
+    """
+
+    action: str
+    functions: Collection[str] = ()
+    attempt: Optional[int] = None
+    limit: Optional[int] = None
+    interval: float = 0.0
+    fired: int = field(default=0, init=False)
+    _last: float = field(default=float("-inf"), init=False, repr=False)
+    _lock: Any = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False,
+    )
+
+    def __post_init__(self) -> None:
+        if self.action not in ("kill", "hang", "fail-init"):
+            raise ValueError(f"unknown fault action {self.action!r}")
+
+    def _fire(self) -> bool:
+        # A plan can be armed for supervisors on several threads' loops.
+        with self._lock:
+            now = time.monotonic()
+            if self.limit is not None and self.fired >= self.limit:
+                return False
+            if now - self._last < self.interval:
+                return False
+            self.fired += 1
+            self._last = now
+            return True
+
+    def fails_spawn(self) -> bool:
+        """Whether the worker being spawned now fails its initializer."""
+        return self.action == "fail-init" and self._fire()
+
+    def job_fault(self, names: Sequence[str], attempt: int) -> Optional[str]:
+        """``"kill"``, ``"hang"`` or ``None`` for attempt *attempt* of
+        the job compiling *names*."""
+        if self.action == "fail-init":
+            return None
+        if self.functions and not any(n in self.functions for n in names):
+            return None
+        if self.attempt is not None and attempt != self.attempt:
+            return None
+        return self.action if self._fire() else None
+
+
+#: The armed plan every supervisor consults; ``None`` injects nothing.
+_PLAN: Optional[FaultPlan] = None
+
+
+@contextmanager
+def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
+    """Arm *plan* for every :class:`WorkerSupervisor` in this process —
+    the batch keep-alive and any service's, already running or started
+    inside the block — until the block exits."""
+    global _PLAN
+    saved, _PLAN = _PLAN, plan
     try:
-        os.unlink(path)
-        return True
-    except OSError:
-        return False
+        yield plan
+    finally:
+        _PLAN = saved
 
 
-def _service_chaos_hooks() -> None:
-    kill = os.environ.get(ENV_KILL_ONCE)
-    if kill and _consume_marker(kill):
-        os._exit(_EXIT_CHAOS)
-    hang = os.environ.get(ENV_HANG_ONCE)
-    if hang:
-        path, _, seconds = hang.rpartition(":")
-        if path and _consume_marker(path):
-            time.sleep(float(seconds or 30.0))
-
-
+# ------------------------------------------------------------ worker side
 def _run_request(
     request: Dict[str, Any],
     names: List[str],
@@ -204,15 +299,19 @@ def _worker_main(
     options: Dict[str, object],
     metrics_on: bool,
     cache_key: Optional[str],
+    fail_init: bool,
 ) -> None:
     """Worker subprocess body: warm the tables once, then serve jobs
-    off the pipe until the parent sends the ``None`` sentinel."""
+    off the pipe until the parent sends the ``None`` sentinel.  It reads
+    no fault from anywhere: it obeys *fail_init* and each job's fault."""
     # SIGINT goes to the whole foreground process group on ^C; drain is
     # the parent's job, workers just keep compiling until told to stop.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    if fail_init:
+        os._exit(_EXIT_INIT)
     try:
         _pool_initializer(options, metrics_on, cache_key)
     except BaseException:
@@ -232,11 +331,13 @@ def _worker_main(
         if kind == "ping":
             reply = ("pong", job_id, os.getpid())
         else:
-            _service_chaos_hooks()
-            request = message[2]
+            request, names, fault = message[2:]
+            if fault == "kill":
+                os._exit(_EXIT_FAULT)
+            if fault == "hang":
+                time.sleep(HANG_SECONDS)
             outcome = _run_request(
-                request, message[3],
-                lambda: _worker_program(request["source"]),
+                request, names, lambda: _worker_program(request["source"]),
             )
             reply = ("done", job_id, outcome)
         try:
@@ -338,11 +439,13 @@ class WorkerSupervisor:
             self._probe_task = self._loop.create_task(self._probe_loop())
 
     def _spawn(self, slot: int, first: bool = False) -> None:
-        with span("server.worker.spawn", cat="server", slot=slot):
+        plan = _PLAN
+        fail_init = plan is not None and plan.fails_spawn()
+        with span("worker.spawn", cat="worker", slot=slot):
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn,) + self._initargs,
+                args=(child_conn,) + self._initargs + (fail_init,),
                 daemon=True,
                 name=f"ggcc-worker-{slot}",
             )
@@ -356,10 +459,10 @@ class WorkerSupervisor:
         self._idle.append(handle)
         self._idle_event.set()
         if first:
-            REGISTRY.inc("server.worker.spawns")
+            REGISTRY.inc("worker.spawns")
         else:
             self.restarts += 1
-            REGISTRY.inc("server.worker.restarts")
+            REGISTRY.inc("worker.restarts")
 
     async def stop(self) -> None:
         """Retire every worker: sentinel, close, bounded reap."""
@@ -443,10 +546,10 @@ class WorkerSupervisor:
             handle.process.kill()
         if reason == "hang":
             self.hangs += 1
-            REGISTRY.inc("server.worker.hangs")
+            REGISTRY.inc("worker.hangs")
         else:
             self.crashes += 1
-            REGISTRY.inc("server.worker.crashes")
+            REGISTRY.inc("worker.crashes")
         if self.on_failure is not None:
             self.on_failure("crash")
         if self._closed:
@@ -486,26 +589,17 @@ class WorkerSupervisor:
         self._idle_event.set()
 
     async def _call(
-        self,
-        handle: _WorkerHandle,
-        op: str,
-        timeout: float,
-        request: Optional[Dict[str, Any]] = None,
-        only: Optional[List[str]] = None,
-        failure_on_timeout: str = "hang",
+        self, handle: _WorkerHandle, timeout: Optional[float], *message: Any
     ):
-        """Send one message to *handle* and await its reply (or fail it:
-        crash on EOF/closed pipe, *failure_on_timeout* on no reply)."""
+        """Send *message* — its kind, then its body — to *handle* under
+        a fresh job id and await the reply, or fail it: ``crash`` on EOF
+        or a closed pipe, ``hang`` on no reply within *timeout*."""
         self._job_seq += 1
         job_id = self._job_seq
         future = self._loop.create_future()
         handle.pending = (job_id, future)
-        if op == "job":
-            message = ("job", job_id, request, only)
-        else:
-            message = ("ping", job_id)
         try:
-            handle.conn.send(message)
+            handle.conn.send((message[0], job_id) + message[1:])
         except (BrokenPipeError, OSError) as exc:
             handle.pending = None
             self._retire(handle, "crash")
@@ -513,9 +607,9 @@ class WorkerSupervisor:
         try:
             return await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
-            self._retire(handle, failure_on_timeout)
+            self._retire(handle, "hang")
             raise WorkerFailure(
-                failure_on_timeout,
+                "hang",
                 f"worker slot {handle.slot} gave no reply within "
                 f"{timeout:.3g}s",
             )
@@ -532,10 +626,10 @@ class WorkerSupervisor:
                     continue
                 handle.state = "probing"
                 try:
-                    await self._call(handle, "ping", PROBE_TIMEOUT)
+                    await self._call(handle, PROBE_TIMEOUT, "ping")
                 except WorkerFailure:
                     continue  # retired; restart already scheduled
-                REGISTRY.inc("server.worker.probes")
+                REGISTRY.inc("worker.probes")
                 self._release(handle)
 
     # -------------------------------------------------------------- jobs
@@ -547,16 +641,19 @@ class WorkerSupervisor:
     ) -> JobOutcome:
         """Compile *only* — a request's result-cache misses, or one
         batch — on a healthy worker, re-dispatching on failure up to
-        ``max_retries`` times.  *timeout* overrides ``job_timeout``."""
+        ``max_retries`` times.  *timeout* overrides ``job_timeout``.
+        Each attempt carries the armed :class:`FaultPlan`'s decision."""
         timeout = self.job_timeout if timeout is None else timeout
         failures: List[str] = []
         attempts = 0
         while True:
             attempts += 1
             handle = await self._acquire()
+            plan = _PLAN
+            fault = None if plan is None else plan.job_fault(only, attempts)
             try:
                 outcome = await self._call(
-                    handle, "job", timeout, request=request, only=only
+                    handle, timeout, "job", request, only, fault
                 )
             except WorkerFailure as exc:
                 failures.append(exc.kind)
@@ -565,7 +662,7 @@ class WorkerSupervisor:
                         attempts=attempts, failures=failures
                     )
                 self.retries += 1
-                REGISTRY.inc("server.retries")
+                REGISTRY.inc("worker.retries")
                 continue
             handle.jobs_done += 1
             self._consecutive_failures[handle.slot] = 0
@@ -590,121 +687,4 @@ class WorkerSupervisor:
             "hangs": self.hangs,
             "restarts": self.restarts,
             "retries": self.retries,
-        }
-
-
-# --------------------------------------------------------------- breaker
-@dataclass
-class BreakerPolicy:
-    """One failure class's trip rule: *threshold* failures within
-    *window* seconds open the breaker; after *cooldown* seconds it goes
-    half-open and admits one trial request."""
-
-    threshold: int = 5
-    window: float = 30.0
-    cooldown: float = 5.0
-
-
-#: Failure classes the service distinguishes: worker deaths/hangs vs
-#: request deadline misses.  Deadlines get a higher threshold — a burst
-#: of slow requests is load, not necessarily a failing backend.
-DEFAULT_POLICIES: Dict[str, BreakerPolicy] = {
-    "crash": BreakerPolicy(threshold=5, window=30.0, cooldown=5.0),
-    "deadline": BreakerPolicy(threshold=8, window=30.0, cooldown=5.0),
-}
-
-
-class CircuitBreaker:
-    """Per-failure-class breaker: closed → open → half-open → closed.
-
-    ``admit()`` is consulted at admission: ``None`` admits; a class
-    name means shed (the caller answers ``SERVER-CIRCUIT-OPEN``).  In
-    half-open state exactly one request is admitted as the trial; its
-    recorded success closes the class, a recorded failure reopens it.
-    *clock* is injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        policies: Optional[Dict[str, BreakerPolicy]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._clock = clock
-        self.policies = dict(DEFAULT_POLICIES)
-        if policies:
-            self.policies.update(policies)
-        self._events: Dict[str, Deque[float]] = {
-            cls: deque() for cls in self.policies
-        }
-        self._state: Dict[str, str] = {
-            cls: "closed" for cls in self.policies
-        }
-        self._opened_at: Dict[str, float] = {
-            cls: 0.0 for cls in self.policies
-        }
-        self._trial: Dict[str, bool] = {
-            cls: False for cls in self.policies
-        }
-        self.opens = 0
-        self.shed = 0
-
-    def admit(self) -> Optional[str]:
-        """``None`` to admit, else the open class this request is shed
-        for."""
-        now = self._clock()
-        for cls in self.policies:
-            state = self._state[cls]
-            if state == "closed":
-                continue
-            if state == "open":
-                if now - self._opened_at[cls] < self.policies[cls].cooldown:
-                    self.shed += 1
-                    return cls
-                self._state[cls] = "half-open"
-                self._trial[cls] = False
-            if self._trial[cls]:
-                self.shed += 1
-                return cls  # a trial is already in flight
-            self._trial[cls] = True  # this request is the trial
-        return None
-
-    def record_failure(self, cls: str) -> None:
-        if cls not in self._state:
-            return
-        now = self._clock()
-        if self._state[cls] == "half-open":
-            self._open(cls, now)  # the trial failed
-            return
-        if self._state[cls] == "open":
-            return
-        events = self._events[cls]
-        events.append(now)
-        window = self.policies[cls].window
-        while events and now - events[0] > window:
-            events.popleft()
-        if len(events) >= self.policies[cls].threshold:
-            self._open(cls, now)
-
-    def record_success(self, cls: str) -> None:
-        if cls in self._state and self._state[cls] == "half-open":
-            self._state[cls] = "closed"
-            self._trial[cls] = False
-            self._events[cls].clear()
-
-    def _open(self, cls: str, now: float) -> None:
-        self._state[cls] = "open"
-        self._opened_at[cls] = now
-        self._trial[cls] = False
-        self._events[cls].clear()
-        self.opens += 1
-        REGISTRY.inc("server.breaker.opens")
-
-    def state(self, cls: str) -> str:
-        return self._state.get(cls, "closed")
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "state": dict(self._state),
-            "opens": self.opens,
-            "shed": self.shed,
         }

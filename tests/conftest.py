@@ -30,9 +30,9 @@ def pytest_addoption(parser):
 
 @pytest.fixture()
 def fresh_pool():
-    """Retire the batch driver's keep-alive workers around a test:
-    workers read the environment they were forked with, so a chaos
-    variable the test sets only reaches workers started after it."""
+    """Retire the batch driver's keep-alive workers around a test, for
+    tests that count one supervisor's events from zero or fault the
+    spawn of its workers."""
     from repro.compile import shutdown_worker_pools
 
     shutdown_worker_pools()
@@ -44,7 +44,7 @@ def fresh_pool():
 def dispatched_jobs(monkeypatch):
     """Every job the batch driver submits to its workers, as the
     ``(request, names)`` pair the pipe carries."""
-    from repro.server.supervisor import WorkerSupervisor
+    from repro.workers import WorkerSupervisor
 
     jobs = []
     submit = WorkerSupervisor.submit

@@ -111,12 +111,13 @@ def test_shutdown_leaves_no_worker_process_behind(gg):
 
 
 # ``setup_s`` times ``import repro.compile``; a serial compile never forks
-# and must not pay for the event loop or the compile service.
+# and must not pay for the event loop, the worker substrate or the
+# compile service.
 def test_importing_the_compiler_loads_no_event_loop_or_service():
     probe = (
         "import sys, repro.compile\n"
-        "print(sorted(m for m in sys.modules if m == 'asyncio'\n"
-        "      or m.startswith(('asyncio.', 'repro.server'))))\n"
+        "print(sorted(m for m in sys.modules if m in ('asyncio',\n"
+        "      'repro.workers') or m.startswith(('asyncio.', 'repro.server'))))\n"
     )
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     loaded = subprocess.run(
@@ -124,6 +125,26 @@ def test_importing_the_compiler_loads_no_event_loop_or_service():
         check=True, env={"PYTHONPATH": src},
     ).stdout
     assert loaded.strip() == "[]"
+
+
+# ``unit-pool`` compiles with ``jobs=2``: the keep-alive runs the worker
+# substrate (``repro.workers``) and must not pay for the service package.
+def test_a_pooled_compile_loads_no_service():
+    probe = (
+        "import sys\n"
+        "from repro.compile import compile_program, shutdown_worker_pools\n"
+        "compile_program('int a(int x) { return x; }\\n'\n"
+        "                'int b(int y) { return y; }\\n', jobs=2)\n"
+        "shutdown_worker_pools()\n"
+        "print('repro.workers' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.startswith('repro.server')))\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src},
+    ).stdout
+    assert loaded.strip() == "True []"
 
 
 # The traced pass times ``Parser(source)`` as the lexer layer and

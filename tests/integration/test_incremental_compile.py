@@ -23,6 +23,7 @@ from repro.fuzz.chaos import TINY_BLOCKER
 from repro.result_cache import ResultCache
 from repro.tables.slr import construct_tables
 from repro.tools.cli import main as cli_main
+from repro.workers import FaultPlan, inject
 from repro.workloads.programs import ALL_PROGRAMS
 
 _BY_NAME = {p.name: p for p in ALL_PROGRAMS}
@@ -249,17 +250,15 @@ class TestRescuePoisoning:
         assert warm.tiers["f"] == "cache"
         assert warm.text == healthy_text
 
-    def test_worker_containment_recovery_is_not_stored(
-        self, gg, monkeypatch, fresh_pool
-    ):
+    def test_worker_containment_recovery_is_not_stored(self, gg):
         """A function recovered in the parent after its worker died on
         every attempt gets WORKER-* diagnostics — conservative store
         gate: not cached."""
-        monkeypatch.setenv("REPRO_CHAOS_KILL_FN", "h")
-        out = compile_program(
-            SMALL, generator=gg, resilient=True, incremental=True,
-            jobs=2, parallel="process",
-        )
+        with inject(FaultPlan("kill", functions=("h",))):
+            out = compile_program(
+                SMALL, generator=gg, resilient=True, incremental=True,
+                jobs=2, parallel="process",
+            )
         assert out.ok
         assert out.diagnostics.has(codes.WORKER_CRASH)
         # the WORKER-CRASH diagnostics name the functions of the batch

@@ -85,7 +85,10 @@ class TestSection8Statistics:
 class TestCompileTimeClaim:
     def test_gg_slower_than_pcc_but_same_order(self, gg):
         """section 8: 80.1s vs 55.4s — the table-driven generator is
-        slower by a modest constant factor."""
+        slower by a modest constant factor.  The ratio is the median of
+        interleaved GG/PCC pairs, so one scheduler pause on a shared
+        machine cannot decide it."""
+        import statistics
         import time
 
         from repro.frontend import compile_c
@@ -94,17 +97,15 @@ class TestCompileTimeClaim:
                                    seed=3)
         program = compile_c(source)
 
-        started = time.perf_counter()
-        for fname in program.order:
-            gg.compile(program.forest(fname))
-        gg_seconds = time.perf_counter() - started
+        def seconds(compile_one):
+            started = time.perf_counter()
+            for fname in program.order:
+                compile_one(program.forest(fname))
+            return time.perf_counter() - started
 
-        started = time.perf_counter()
-        for fname in program.order:
-            pcc_compile(program.forest(fname))
-        pcc_seconds = time.perf_counter() - started
-
-        ratio = gg_seconds / pcc_seconds
+        ratio = statistics.median(
+            seconds(gg.compile) / seconds(pcc_compile) for _ in range(5)
+        )
         assert ratio > 0.8, f"GG unexpectedly much faster ({ratio:.2f}x)"
         assert ratio < 12, f"GG out of the same order of magnitude ({ratio:.2f}x)"
 

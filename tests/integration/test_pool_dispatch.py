@@ -1,7 +1,7 @@
 """The batch driver's dispatch contract, on the real worker layer.
 
 ``compile_program(jobs=N)`` submits function batches to a keep-alive
-:class:`~repro.server.supervisor.WorkerSupervisor`.  The 0.2x
+:class:`~repro.workers.WorkerSupervisor`.  The 0.2x
 process-pool regression came from shipping generator options with every
 per-function task and rebuilding tables per worker submission.  These
 tests pin the fixed contract: job payloads are ``(source, names)``,
@@ -25,6 +25,7 @@ from repro.compile import (
 )
 from repro.diag import codes
 from repro.frontend import compile_c
+from repro.workers import FaultPlan, WorkerSupervisor, inject
 from repro.workloads import generate_workload
 from repro.workloads.programs import ALL_PROGRAMS
 
@@ -172,28 +173,28 @@ def test_effective_width_clamps_to_cpus():
 
 
 # ------------------------------------------------- initializer failure
-def test_init_failure_falls_back_to_serial(gg, monkeypatch, fresh_pool):
+def test_init_failure_falls_back_to_serial(gg, fresh_pool):
     """A worker whose initializer raises (what a cache miss + builder
     failure in the worker looks like) dies like a crashed worker: every
     attempt fails with WORKER-CRASH, and everything recompiles in the
     parent — same text, nothing dropped."""
-    monkeypatch.setenv(compile_mod.ENV_CHAOS_INIT_FAIL, "1")
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
-    out = compile_program(
-        MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
-    )
+    with inject(FaultPlan("fail-init")):
+        out = compile_program(
+            MULTI_SOURCE, generator=gg, jobs=2, parallel="process"
+        )
     assert out.text == serial.text
     assert list(out.function_results) == list(serial.function_results)
     assert out.diagnostics.has(codes.WORKER_CRASH)
 
 
-def test_init_failure_resilient_recovers_all(gg, monkeypatch, fresh_pool):
-    monkeypatch.setenv(compile_mod.ENV_CHAOS_INIT_FAIL, "1")
+def test_init_failure_resilient_recovers_all(gg, fresh_pool):
     serial = compile_program(MULTI_SOURCE, generator=gg, jobs=1)
-    out = compile_program(
-        MULTI_SOURCE, generator=gg, jobs=2, parallel="process",
-        resilient=True,
-    )
+    with inject(FaultPlan("fail-init")):
+        out = compile_program(
+            MULTI_SOURCE, generator=gg, jobs=2, parallel="process",
+            resilient=True,
+        )
     assert out.ok
     assert out.text == serial.text
     assert out.diagnostics.has(codes.WORKER_CRASH)
@@ -202,18 +203,14 @@ def test_init_failure_resilient_recovers_all(gg, monkeypatch, fresh_pool):
 
 # ------------------------------------------------------------ retries
 def test_a_worker_death_is_retried_on_a_restarted_worker(
-    gg, monkeypatch, tmp_path, fresh_pool, dispatched_jobs
+    gg, monkeypatch, fresh_pool, dispatched_jobs
 ):
     """A worker that dies once mid-batch costs that batch a re-dispatch
     to a restarted worker: the parent recompiles nothing, each function
     of the batch carries a WORKER-CRASH warning, and the text equals
     the serial compile."""
-    from repro.server.supervisor import ENV_KILL_ONCE
-
     serial = compile_program(MULTI_SOURCE, generator=gg)
-    marker = tmp_path / "kill-once"
-    marker.write_text("")
-    monkeypatch.setenv(ENV_KILL_ONCE, str(marker))
+    plan = FaultPlan("kill", limit=1)
     in_parent = []
     body = compile_mod.compile_functions
 
@@ -222,8 +219,9 @@ def test_a_worker_death_is_retried_on_a_restarted_worker(
         return body(generator, program, names, flatten)
 
     monkeypatch.setattr(compile_mod, "compile_functions", counted)
-    out = compile_program(MULTI_SOURCE, generator=gg, jobs=2)
-    assert not marker.exists(), "no worker took the one-shot kill"
+    with inject(plan):
+        out = compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+    assert plan.fired == 1, "the one-shot kill was not injected once"
     assert in_parent == []
     assert out.text == serial.text
     crashes = [
@@ -236,6 +234,30 @@ def test_a_worker_death_is_retried_on_a_restarted_worker(
     assert [d.function for d in crashes] in batches
     supervisor = compile_mod._KEEPALIVE.supervisor
     assert (supervisor.retries, supervisor.crashes) == (1, 1)
+
+
+# --------------------------------------------------------- observability
+def test_batch_workers_report_as_workers_not_service(gg, fresh_pool):
+    """The keep-alive's supervisor counts and traces its workers under
+    the substrate's names: a batch compile records no ``server.``
+    metric or span."""
+    from repro.obs import install_recorder, uninstall_recorder
+    from repro.obs.metrics import REGISTRY, set_metrics_enabled
+
+    enabled = REGISTRY.enabled
+    set_metrics_enabled(True)
+    recorder = install_recorder()
+    try:
+        REGISTRY.drain()
+        compile_program(MULTI_SOURCE, generator=gg, jobs=2)
+        metrics = REGISTRY.drain()
+    finally:
+        uninstall_recorder()
+        set_metrics_enabled(enabled)
+    names = set(metrics.counters) | set(metrics.histograms)
+    spans = {record.name for record in recorder.records()}
+    assert "worker.spawns" in names and "worker.spawn" in spans
+    assert not [n for n in names | spans if n.startswith("server.")]
 
 
 # ------------------------------------------------- keep-alive lifecycle
@@ -259,8 +281,6 @@ def test_keepalive_pool_reused_across_calls(gg):
 
 
 def _explode_dispatch(monkeypatch, exc):
-    from repro.server.supervisor import WorkerSupervisor
-
     async def explode(self, request, only, timeout=None):
         raise exc("dispatch exploded before any result")
 

@@ -15,6 +15,7 @@ from repro.codegen.recovery import FailedFunction
 from repro.compile import compile_program
 from repro.diag import CompileError, codes
 from repro.fuzz.chaos import TINY_BLOCKER
+from repro.workers import FaultPlan, inject
 from repro.workloads.programs import PROGRAMS_BY_NAME
 
 MULTI_SOURCE = "\n".join(
@@ -145,12 +146,12 @@ class TestFailedFunctionContainment:
 
 @pytest.mark.usefixtures("fresh_pool")
 class TestProcessContainment:
-    def test_killed_worker_recovered_in_parent(self, gg, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_KILL_FN", "fib")
-        assembly = compile_program(
-            MULTI_SOURCE, generator=gg, resilient=True,
-            jobs=2, parallel="process",
-        )
+    def test_killed_worker_recovered_in_parent(self, gg):
+        with inject(FaultPlan("kill", functions=("fib",))):
+            assembly = compile_program(
+                MULTI_SOURCE, generator=gg, resilient=True,
+                jobs=2, parallel="process",
+            )
         assert assembly.ok
         assert assembly.diagnostics.has(codes.WORKER_CRASH)
         serial = compile_program(MULTI_SOURCE, generator=gg)
@@ -171,11 +172,11 @@ class TestProcessContainment:
         monkeypatch.setattr(
             compile_module, "compile_with_recovery", recording_ladder
         )
-        monkeypatch.setenv("REPRO_CHAOS_HANG_FN", "gcd:20")
-        assembly = compile_program(
-            MULTI_SOURCE, generator=gg, resilient=True,
-            jobs=2, parallel="process", timeout=2.0,
-        )
+        with inject(FaultPlan("hang", functions=("gcd",))):
+            assembly = compile_program(
+                MULTI_SOURCE, generator=gg, resilient=True,
+                jobs=2, parallel="process", timeout=2.0,
+            )
         assert assembly.ok
         timeouts = assembly.diagnostics.by_code(codes.WORKER_TIMEOUT)
         assert any(d.function == "gcd" for d in timeouts)

@@ -9,7 +9,9 @@ whole-unit and partial-hit results — stores through
 ``f`` below is stored by none of them while its healthy sibling ``ok``
 is stored by all of them.  A function that fails every rung is stored
 by none either, and a partial hit that recompiles it reports the same
-``ok: false`` as the cold compile did.
+``ok: false`` as the cold compile did.  A worker death that a retry
+recovered keeps every function of the dead job out, on the batch driver
+and the service alike.
 """
 
 import threading
@@ -23,6 +25,7 @@ from repro.frontend.parser import parse
 from repro.fuzz.chaos import TINY_BLOCKER
 from repro.result_cache import ResultCache, table_fingerprint
 from repro.server import CompileClient, CompileServer
+from repro.workers import FaultPlan, inject
 
 SIBLING = "int ok(int a, int b) { return a + b; }\n"
 SOURCE = TINY_BLOCKER + SIBLING
@@ -164,3 +167,45 @@ def test_partial_hit_reports_a_failed_miss(
     assert warm["failed"] == ["f"] and not warm["ok"]
     assert warm["assembly"] == cold["assembly"]
     assert not stored(cache, "f")
+
+
+# ---------------------------------------------- worker death, both owners
+#: Three healthy functions: only a worker death can keep one uncached.
+THREE = (
+    "int g;\n"
+    "int f(int x) { g = x + 1; return g; }\n"
+    "int h(int y) { return y * 2; }\n"
+    "int k(int z) { return z - 3; }\n"
+)
+
+
+def _batch(gen, cache, tmp_path, requests):
+    """The batch driver's answers to *requests*, in the reply's shape."""
+    answers = []
+    for request in requests:
+        out = compile_program(
+            request["source"], generator=gen, jobs=2, result_cache=cache
+        )
+        answers.append({
+            "diagnostics": [d.to_dict() for d in out.diagnostics],
+            "tiers": out.tiers,
+        })
+    return answers
+
+
+@pytest.mark.parametrize("owner", [_batch, _supervised])
+def test_a_retried_worker_death_is_stored_by_one_rule(owner, gg, tmp_path):
+    """One worker death that a retry recovered is one WORKER-CRASH
+    warning per function of the dead job, and on either owner exactly
+    those functions miss on the next probe while the rest hit."""
+    cache = ResultCache(table_fingerprint(gg), gg.engine)
+    request = compile_request(THREE)
+    with inject(FaultPlan("kill", limit=1)):
+        first, again = owner(gg, cache, tmp_path, [request, request])
+    crashed = [
+        d for d in first["diagnostics"] if d["code"] == "WORKER-CRASH"
+    ]
+    assert crashed and {d["severity"] for d in crashed} == {"warning"}
+    misses = {name for name, tier in again["tiers"].items() if tier != "cache"}
+    assert misses == {d["function"] for d in crashed}
+    assert set(again["tiers"]) == {"f", "h", "k"}

@@ -9,10 +9,11 @@ Four families:
 * **Supervised compile** — with ``workers=N`` the dynamic phase runs in
   warm subprocesses; the assembly must stay byte-identical to the
   serial compiler and ``stats`` must expose the supervisor.
-* **Chaos recovery** — a worker killed mid-compile (chaos marker) is
-  restarted and the request re-dispatched: the response is *ok* but
-  carries ``SERVER-WORKER-CRASH`` + ``SERVER-RETRY`` diagnostics; a
-  hung worker is detected by the job deadline and retired the same way.
+* **Chaos recovery** — a worker killed mid-compile (a one-shot
+  :class:`~repro.workers.FaultPlan`) is restarted and the request
+  re-dispatched: the response is *ok* but carries a ``WORKER-CRASH``
+  warning per function of the job; a hung worker is detected by the job
+  deadline and retired the same way (``WORKER-TIMEOUT``).
 * **Graceful drain** — shutdown with work in flight answers every
   admitted request with a staged ``SERVER-SHUTDOWN`` error before any
   connection closes; nothing is silently dropped.
@@ -25,9 +26,8 @@ import pytest
 
 from repro.compile import compile_program
 from repro.server import CompileClient, CompileServer
-from repro.server.supervisor import (
-    BreakerPolicy, CircuitBreaker, ENV_HANG_ONCE, ENV_KILL_ONCE,
-)
+from repro.server.breaker import BreakerPolicy, CircuitBreaker
+from repro.workers import FaultPlan, inject
 from repro.workloads.programs import ALL_PROGRAMS
 
 SOURCE = next(p for p in ALL_PROGRAMS if p.name == "gcd").source
@@ -136,12 +136,10 @@ def test_supervised_compile_matches_serial(tmp_path):
     assert not thread.is_alive()
 
 
-def test_worker_kill_recovers_with_crash_and_retry_diags(
-        tmp_path, monkeypatch):
+def test_worker_kill_recovers_with_crash_and_retry_diags(tmp_path):
     """A worker that dies mid-compile is restarted and the job is
-    re-dispatched; the client still gets a correct answer, annotated."""
-    marker = tmp_path / "kill-marker"
-    monkeypatch.setenv(ENV_KILL_ONCE, str(marker))
+    re-dispatched; the client still gets a correct answer, annotated
+    with a WORKER-CRASH warning on attempt 1 per function of the job."""
     expected = compile_program(SOURCE, jobs=1).text
     path = str(tmp_path / "kill.sock")
     server = CompileServer(
@@ -149,28 +147,31 @@ def test_worker_kill_recovers_with_crash_and_retry_diags(
     )
     server.bind()
     thread = _start(server)
+    plan = FaultPlan("kill", limit=1)
     try:
-        with CompileClient(path=path, connect_timeout=30) as client:
-            marker.write_text("armed")
+        with CompileClient(path=path, connect_timeout=30) as client, \
+                inject(plan):
             response = client.request({
                 "op": "compile", "source": SOURCE, "id": "doomed",
             })
             assert response["ok"] and response["assembly"] == expected
-            codes = [d["code"] for d in response["diagnostics"]]
-            assert "SERVER-WORKER-CRASH" in codes
-            assert "SERVER-RETRY" in codes
+            crashes = [
+                d for d in response["diagnostics"]
+                if d["code"] == "WORKER-CRASH"
+            ]
+            assert [d["function"] for d in crashes] == response["functions"]
+            assert {d["severity"] for d in crashes} == {"warning"}
+            assert {d["context"]["attempt"] for d in crashes} == {1}
             stats = client.request({"op": "stats"})
             assert stats["supervisor"]["crashes"] >= 1
             assert stats["supervisor"]["retries"] >= 1
             client.shutdown()
     finally:
         thread.join(timeout=30)
-    assert not marker.exists()  # the worker claimed it exactly once
+    assert plan.fired == 1  # the parent injected it exactly once
 
 
-def test_worker_hang_detected_by_job_deadline(tmp_path, monkeypatch):
-    marker = tmp_path / "hang-marker"
-    monkeypatch.setenv(ENV_HANG_ONCE, f"{marker}:30")
+def test_worker_hang_detected_by_job_deadline(tmp_path):
     path = str(tmp_path / "hang.sock")
     server = CompileServer(
         path=path, workers=1, result_cache=False,
@@ -179,8 +180,8 @@ def test_worker_hang_detected_by_job_deadline(tmp_path, monkeypatch):
     server.bind()
     thread = _start(server)
     try:
-        with CompileClient(path=path, connect_timeout=30) as client:
-            marker.write_text("armed")
+        with CompileClient(path=path, connect_timeout=30) as client, \
+                inject(FaultPlan("hang", limit=1)):
             started = time.perf_counter()
             response = client.request({
                 "op": "compile", "source": SOURCE, "id": "stuck",
@@ -188,7 +189,7 @@ def test_worker_hang_detected_by_job_deadline(tmp_path, monkeypatch):
             elapsed = time.perf_counter() - started
             assert response["ok"]  # recovered on the retry
             codes = [d["code"] for d in response["diagnostics"]]
-            assert "SERVER-WORKER-CRASH" in codes
+            assert "WORKER-TIMEOUT" in codes
             assert elapsed < 30  # the 30s sleep was abandoned, not served
             stats = client.request({"op": "stats"})
             assert stats["supervisor"]["hangs"] >= 1
