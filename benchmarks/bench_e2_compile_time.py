@@ -5,7 +5,7 @@ the reproduction target (absolute seconds are Python's, not a 1982 VAX's).
 
 import time
 
-from conftest import update_bench_json, write_report
+from conftest import write_report
 
 from repro.pcc import pcc_compile
 
@@ -47,8 +47,8 @@ def test_compile_time_ratio(gg, corpus_program):
 def test_parallel_jobs(gg, corpus_source):
     """compile_program with jobs= over the 20-function corpus.  The
     speedup depends on the runner's cores, so the interesting output is
-    the recorded trajectory (and identical assembly), not a speedup
-    assertion."""
+    the ``E2_jobs`` report (and identical assembly), not a speedup
+    assertion; the e2e ``unit-pool`` workload measures the pool."""
     from repro.compile import compile_program, shutdown_worker_pools
 
     serial = compile_program(corpus_source, generator=gg, jobs=1)
@@ -56,11 +56,6 @@ def test_parallel_jobs(gg, corpus_source):
     shutdown_worker_pools()
     assert pooled.text == serial.text
 
-    update_bench_json("parallel_compile", {
-        "functions": len(serial.source_program.order),
-        "serial_seconds": round(serial.seconds, 4),
-        "process4_seconds": round(pooled.seconds, 4),
-    })
     write_report("E2_jobs", "\n".join([
         "compile_program jobs= over the corpus:",
         f"  functions:        {len(serial.source_program.order)}",

@@ -10,7 +10,7 @@ improved one on the full replicated VAX description.
 import tempfile
 import time
 
-from conftest import update_bench_json, write_report
+from conftest import write_report
 
 from repro.tables import build_automaton, build_automaton_naive
 
@@ -60,13 +60,6 @@ def test_cache_warm_start():
     load = warm.cache_outcome.load_seconds
     speedup = build / load
 
-    update_bench_json("table_cache", {
-        "cold_build_seconds": round(build, 4),
-        "warm_load_seconds": round(load, 4),
-        "cold_init_seconds": round(cold_init, 4),
-        "warm_init_seconds": round(warm_init, 4),
-        "speedup": round(speedup, 1),
-    })
     write_report("E5_cache", "\n".join([
         "persistent table cache, cold vs warm static phase:",
         f"  cold (grammar + SLR build): {build:8.3f} s",

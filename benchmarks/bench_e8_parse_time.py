@@ -9,7 +9,7 @@ instruction, and benchmarks the parse actions alone.
 
 import time
 
-from conftest import update_bench_json, write_report
+from conftest import write_report
 
 from repro.grammar import chain_depth
 from repro.matcher import Matcher
@@ -94,13 +94,6 @@ def test_packed_vs_dict_throughput(gg, corpus_program):
     dict_tps = _tokens_per_second(plain, streams, total_tokens)
     speedup = packed_tps / dict_tps
 
-    update_bench_json("match_tokens", {
-        "tokens": total_tokens,
-        "streams": len(streams),
-        "packed_tokens_per_sec": round(packed_tps),
-        "dict_tokens_per_sec": round(dict_tps),
-        "speedup": round(speedup, 2),
-    })
     write_report("E8_packed", "\n".join([
         "packed vs dict matcher throughput (pre-linearized streams):",
         f"  tokens in corpus:   {total_tokens}",

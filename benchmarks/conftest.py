@@ -5,7 +5,6 @@ the pytest-benchmark timings, each writes its regenerated rows to
 ``benchmarks/results/<id>.txt`` so EXPERIMENTS.md can cite them.
 """
 
-import json
 import os
 
 import pytest
@@ -18,10 +17,6 @@ from repro.workloads import generate_workload
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Machine-readable perf trajectory (tokens/sec, cache timings) so future
-#: changes have concrete numbers to compare against.
-BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_parse.json")
-
 
 def write_report(experiment_id: str, text: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -29,26 +24,6 @@ def write_report(experiment_id: str, text: str) -> None:
     with open(path, "w") as handle:
         handle.write(text if text.endswith("\n") else text + "\n")
     print(f"\n[{experiment_id}]\n{text}")
-
-
-def update_bench_json(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``BENCH_parse.json``.
-
-    Each bench owns a top-level section, so partial runs update only
-    their own numbers and never clobber the rest of the file."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    try:
-        with open(BENCH_JSON) as handle:
-            data = json.load(handle)
-    except (FileNotFoundError, ValueError):
-        pass
-    data[section] = payload
-    with open(BENCH_JSON, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\n[BENCH_parse.json] {section}: "
-          f"{json.dumps(payload, sort_keys=True)}")
 
 
 @pytest.fixture(scope="session")

@@ -39,8 +39,9 @@ Scenarios (:data:`SCENARIOS`; ``ggcc chaos --scenario NAME``)::
     service  slow-client          a frame trickled beside a fast client
     service  cache-readonly       the result-cache directory refuses writes
     service  kill-storm           at most one worker kill per 150 ms under
-                                  closed-loop load: throughput must keep
-                                  half its undisturbed rate
+                                  1.5 s of closed-loop load: the rate of
+                                  ok replies must keep half its
+                                  undisturbed value
 
 Verdicts: ``clean``, ``recovered`` (a diagnostic, or a tier other than
 the engine's), ``failed-clean`` (a structured failure), ``skip`` (the
@@ -99,10 +100,11 @@ BAD_VERDICTS = (
 #: Simulator step budget per case (chaos programs are small).
 MAX_STEPS = 5_000_000
 
-#: The kill storm: closed-loop clients, requests per client, at most one
-#: worker kill per interval, and the throughput share it must keep.
+#: The kill storm: closed-loop clients, seconds of load per phase (long
+#: enough for several kills), at most one worker kill per interval, and
+#: the share of the undisturbed ok-reply rate it must keep.
 STORM_CLIENTS = 8
-STORM_REQUESTS = 3
+STORM_SECONDS = 1.5
 STORM_INTERVAL = 0.15
 STORM_MIN_RATIO = 0.5
 
@@ -259,19 +261,26 @@ def judge_storm(
     disturbed: LoadReport,
     kills: int,
 ) -> ChaosCase:
-    """The kill storm's gate: every request answered, at least one
-    worker killed, and throughput under the storm at least
-    :data:`STORM_MIN_RATIO` of the undisturbed rate."""
+    """The kill storm's gate: every request answered under its own id,
+    at least one worker killed, and the rate of ok replies under the
+    storm at least :data:`STORM_MIN_RATIO` of the undisturbed rate."""
     ratio = (
-        disturbed.requests_per_sec / undisturbed.requests_per_sec
-        if undisturbed.requests_per_sec else 0.0
+        disturbed.ok_per_sec / undisturbed.ok_per_sec
+        if undisturbed.ok_per_sec else 0.0
     )
+    phases = (undisturbed, disturbed)
+    dropped = sum(phase.dropped_connections for phase in phases)
+    mismatched = sum(phase.id_mismatches for phase in phases)
     result = ChaosCase(
         scenario=scenario, case=0, verdict="recovered",
         detail=f"throughput ratio {ratio:.3f}, {kills} worker kill(s)",
     )
-    if undisturbed.dropped_connections or disturbed.dropped_connections:
+    if dropped or mismatched:
         result.verdict = "unanswered"
+        result.detail += (
+            f", {dropped} dropped connection(s), "
+            f"{mismatched} reply id mismatch(es)"
+        )
     elif not kills:
         result.verdict = "unfired"
     elif ratio < STORM_MIN_RATIO:
@@ -634,9 +643,10 @@ def _run_kill_storm(
 ) -> List[ChaosCase]:
     """Throughput under a sustained kill storm: a two-worker server
     (result cache off, so every request crosses a worker; breaker off,
-    so the measurement is recovery, not shedding) measured undisturbed,
-    then with a plan killing at most one worker per
-    :data:`STORM_INTERVAL` (:func:`judge_storm`)."""
+    so the measurement is recovery, not shedding) loaded for
+    :data:`STORM_SECONDS` undisturbed, then as long again with a plan
+    killing at most one worker per :data:`STORM_INTERVAL`
+    (:func:`judge_storm`)."""
     source = _case_source(seed, 1)
     with tempfile.TemporaryDirectory() as directory, _LiveServer(
         directory, workers=2, result_cache=False, max_retries=3,
@@ -644,13 +654,13 @@ def _run_kill_storm(
     ) as live:
         live.compile(source)  # warm the worker memos
         load = dict(
-            sources=[source], clients=STORM_CLIENTS,
-            requests_per_client=STORM_REQUESTS, path=live.socket_path,
+            sources=[source], seconds=STORM_SECONDS,
+            path=live.socket_path, clients=STORM_CLIENTS,
         )
-        undisturbed = run_load(label="undisturbed", **load)
+        undisturbed = run_load(**load)
         seen = live.failures()
         with inject(FaultPlan("kill", interval=STORM_INTERVAL)):
-            disturbed = run_load(label="kill-storm", **load)
+            disturbed = run_load(**load)
         kills = live.failures() - seen
     return [judge_storm(name, undisturbed, disturbed, kills)]
 

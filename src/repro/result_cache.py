@@ -7,19 +7,21 @@ the batch driver's incremental mode (:func:`repro.compile.compile_program`
 with ``incremental=True``): both probe the same keys, so a unit warmed
 by one is warm for the other.  The key is content-addressed end to end::
 
-    sha256(version | target | table fingerprint | engine | peephole |
-           canonical globals | canonical function source)
+    sha256(version | code digest | target | table fingerprint | engine |
+           peephole | canonical globals | canonical function source)
 
-so a warm entry is valid by construction: any change to the target, to
-the constructed tables (grammar edits, packing changes — via the
-packed-content fingerprint), to the matcher engine, to the peephole
-toggle, or to the function's own source splits the key space and
-misses.  The target name is an *explicit* key component, not inferred
-from the tables: two machine descriptions must never alias, even if
-their packed tables ever hashed identically.  The value is
-the function's emitted assembly text plus compact stats (instruction
-count, the compile seconds it saved — which keeps ``cpu_seconds``
-accounting honest — and the recovery-ladder tier that produced it).
+so a warm entry is valid by construction: any change to the compiler's
+own code (:func:`~repro.tables.cache.code_digest`, every ``.py`` file of
+the package), to the target, to the constructed tables (grammar edits,
+packing changes — via the packed-content fingerprint), to the matcher
+engine, to the peephole toggle, or to the function's own source splits
+the key space and misses.  The target name is an *explicit* key
+component, not inferred from the tables: two machine descriptions must
+never alias, even if their packed tables ever hashed identically.  The
+value is the function's emitted assembly text plus compact stats
+(instruction count, the compile seconds it saved — which keeps
+``cpu_seconds`` accounting honest — and the recovery-ladder tier that
+produced it).
 
 A recovery-ladder *rescue* (operand hoisting, PCC fallback) is a valid
 answer for the compile that produced it but must never be served to a
@@ -58,11 +60,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from .frontend import cast
 from .frontend.unparse import declarator, unparse
 from .obs.metrics import REGISTRY as METRICS
-from .tables.cache import TableCache, cache_enabled
+from .tables.cache import CODE_DIGEST, TableCache, cache_enabled
 
-#: Bump when the cached payload shape or the key derivation changes;
-#: old persistent entries become plain misses.  v2 added the compact
-#: stats (``instructions``, ``tier``, ``rescued``) to every entry.
+#: The version of the entry format only: bump it when the cached
+#: payload's shape changes, so old persistent entries become plain
+#: misses.  Code changes, key derivation included, need no bump: every
+#: key carries the code digest.
+#: v2 added the compact stats (``instructions``, ``tier``, ``rescued``)
+#: to every entry.
 #: v3 added the target name to the table fingerprint: two targets whose
 #: packed tables happened to hash alike (or a future refactor that
 #: shares tables) must never serve each other's assembly.
@@ -80,15 +85,16 @@ DEFAULT_MEMORY_ENTRIES = 4096
 def table_fingerprint(generator: Any) -> str:
     """Content identity of everything static a result depends on.
 
-    The full packed-table content (symbols, action rows, defaults,
-    gotos, reduce pools and production metadata) plus the generator
-    options that change emitted text without changing the tables.
+    The compiler's code digest, the full packed-table content (symbols,
+    action rows, defaults, gotos, reduce pools and production metadata)
+    plus the generator options that change emitted text without changing
+    the tables.
     Computed once per generator — the server does it at startup —
     because hashing every packed row is milliseconds, not nanoseconds.
     """
     packed = generator.tables.packed()
     hasher = hashlib.sha256()
-    hasher.update(f"result-v{RESULT_VERSION}".encode())
+    hasher.update(f"result-v{RESULT_VERSION}|code={CODE_DIGEST}".encode())
     hasher.update(f"|target={generator.target.name}".encode())
     hasher.update(repr(sorted(packed.symbol_ids.items())).encode())
     for row in packed.action_rows:

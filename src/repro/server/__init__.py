@@ -30,7 +30,8 @@ Five modules::
                      graceful drain
     breaker.py       CircuitBreaker: per-failure-class load shedding
     client.py        CompileClient: jittered connect retry, pipelining
-    loadgen.py       concurrent load harness behind ``ggcc load-test``
+    loadgen.py       closed-loop load generator behind the chaos
+                     ``kill-storm`` scenario
 """
 
 from .breaker import BreakerPolicy, CircuitBreaker

@@ -4,17 +4,18 @@ The paper's static phase is expensive by design — "it required over two
 memory-intensive hours of VAX 11/780 CPU time to construct a new set of
 tables" (section 7) — and our reproduction still pays LR(0) construction
 over the full replicated VAX description in *every process*.  This module
-removes that per-process cost: a cache key is the SHA-256 of the exact
-machine-description text plus the construction options, so any change to
-the productions or to the disambiguation toggles (``reversed_ops``,
-``overfactoring_fix``) misses the cache and triggers a fresh build, while
-an unchanged description warm-starts from a pickle in tens of
-milliseconds.
+removes that per-process cost: a cache key is the SHA-256 of the
+compiler's own code (:func:`code_digest`), the exact machine-description
+text and the construction options, so any change to the table
+constructor, to the productions or to the disambiguation toggles
+(``reversed_ops``, ``overfactoring_fix``) misses the cache and triggers
+a fresh build, while an unchanged compiler and description warm-start
+from a pickle in tens of milliseconds.
 
 Robustness rules:
 
-* Entries are versioned (:data:`CACHE_VERSION`); a version or key
-  mismatch is a miss, never an error.
+* Entries carry an envelope version (:data:`CACHE_VERSION`); a version
+  or key mismatch is a miss, never an error.
 * Every entry carries a SHA-256 of its pickled payload; a flipped byte
   anywhere in the payload is detected *before* unpickling, so corruption
   can never deserialize into silently wrong tables.
@@ -45,8 +46,9 @@ from typing import Any, Callable, Optional, Tuple
 from ..obs.metrics import REGISTRY as METRICS
 from ..obs.spans import span
 
-#: Bump when the pickled payload layout (or anything it closes over)
-#: changes shape incompatibly; old entries become plain misses.
+#: The version of the envelope format only: bump it when the stored
+#: tuple's layout changes, so old entries become plain misses.  Code
+#: changes need no bump: every key carries :data:`CODE_DIGEST`.
 #: v2: the envelope carries a SHA-256 of the pickled payload.
 #: v3: callers key construction by target name (two machine
 #: descriptions must never alias), and the payload bundle carries
@@ -63,6 +65,42 @@ ENV_DISABLE = "REPRO_TABLE_CACHE"
 ENV_DIR = "REPRO_TABLE_CACHE_DIR"
 
 _FALSEY = {"0", "off", "false", "no"}
+
+#: The ``repro`` package directory, whose source :func:`code_digest`
+#: covers.
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def code_digest(root: str = PACKAGE_DIR) -> str:
+    """SHA-256 over the compiler's own code: every ``.py`` file under
+    *root* (the ``repro`` package), each file's relative path, length
+    and bytes, in sorted path order.
+
+    :data:`CODE_DIGEST` is a component of every table key and every
+    result key, so an entry written by other code is a miss.  It covers
+    the whole package rather than the modules a process happened to
+    import: the service and a batch compile import different module
+    sets, and share one cache by design.
+    """
+    files = []
+    for directory, _subdirs, names in os.walk(root):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                files.append((relative, path))
+    hasher = hashlib.sha256()
+    for relative, path in sorted(files):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        hasher.update(f"{relative}\0{len(data)}\0".encode())
+        hasher.update(data)
+    return hasher.hexdigest()
+
+
+#: This process's code digest, taken once at import, so a source edit
+#: made while the process runs cannot relabel what it stores.
+CODE_DIGEST = code_digest()
 
 
 def cache_enabled(default: bool = True) -> bool:
@@ -83,7 +121,8 @@ def default_cache_dir() -> str:
 
 
 def table_cache_key(grammar_text: str, **options: Any) -> str:
-    """Content hash of a machine description plus construction options.
+    """Content hash of the compiler's code, a machine description and
+    the construction options.
 
     The text itself carries most of the identity (toggles change the
     productions), but the options are hashed explicitly too so that any
@@ -91,7 +130,7 @@ def table_cache_key(grammar_text: str, **options: Any) -> str:
     still splits the key space.
     """
     hasher = hashlib.sha256()
-    hasher.update(f"v{CACHE_VERSION}".encode())
+    hasher.update(f"v{CACHE_VERSION}|code={CODE_DIGEST}|".encode())
     hasher.update(grammar_text.encode())
     for name in sorted(options):
         hasher.update(f"|{name}={options[name]!r}".encode())

@@ -50,9 +50,8 @@ The compile server keeps constructed tables warm in one long-lived
 process and serves concurrent clients over a local socket — bounded
 admission queue with ``SERVER-OVERLOAD`` backpressure, per-request
 deadlines, and a content-addressed result cache for repeat traffic.
-``load-test`` measures it: cold and warm rows of concurrent traffic
-with p50/p99 latency and throughput (``--out BENCH_server.json``
-regenerates the checked-in benchmark).
+The end-to-end benchmark's ``serve-mixed`` workload measures it
+(``python3 benchmarks/e2e/run.py --workload serve-mixed``).
 
 With ``--workers N`` the server becomes self-healing: compiles run on
 N supervised warm subprocesses with crash/hang detection, restart with
@@ -62,7 +61,6 @@ under sustained worker kills)::
 
     ggcc serve --socket /tmp/ggcc.sock --queue-limit 256
     ggcc serve --socket /tmp/ggcc.sock --workers 4 --job-timeout 30
-    ggcc load-test --clients 50 --requests 4 --out BENCH_server.json
 """
 
 from __future__ import annotations
@@ -467,65 +465,6 @@ def profile_main(argv: List[str]) -> int:
     return 0 if report.ok else 1
 
 
-def build_load_test_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ggcc load-test",
-        description="boot a private compile server and drive concurrent "
-                    "clients against it: a cold row (every request a "
-                    "distinct unit) and a warm row (pure result-cache "
-                    "traffic), reporting p50/p99 latency, throughput, "
-                    "and the warm-over-cold / vs-blocking speedups",
-    )
-    parser.add_argument("--clients", type=int, default=50,
-                        help="concurrent closed-loop clients (default 50)")
-    parser.add_argument("--requests", type=int, default=4,
-                        help="requests per client (default 4)")
-    parser.add_argument("--functions", type=int, default=3,
-                        help="functions per generated unit (default 3)")
-    parser.add_argument("--statements", type=int, default=6,
-                        help="statements per function (default 6)")
-    parser.add_argument("--queue-limit", type=int, default=None,
-                        help="server admission-queue capacity "
-                             "(default max(128, 2*clients))")
-    parser.add_argument("--deadline", type=float, default=None,
-                        help="per-request deadline in seconds")
-    parser.add_argument("--seed", type=int, default=1982,
-                        help="workload seed (default 1982)")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the report as JSON to FILE "
-                             "(e.g. BENCH_server.json)")
-    return parser
-
-
-def load_test_main(argv: List[str]) -> int:
-    import json
-
-    from ..server.loadgen import load_test_report
-
-    options = build_load_test_parser().parse_args(argv)
-    report = load_test_report(
-        clients=options.clients,
-        requests_per_client=options.requests,
-        functions=options.functions,
-        statements=options.statements,
-        queue_limit=options.queue_limit,
-        deadline=options.deadline,
-        seed=options.seed,
-    )
-    if options.out:
-        with open(options.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"ggcc load-test: wrote {options.out}", file=sys.stderr)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    integrity = sum(
-        report[row][key]
-        for row in ("cold", "warm")
-        for key in ("errors", "id_mismatches", "dropped_connections")
-    )
-    return 0 if integrity == 0 else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -537,8 +476,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return profile_main(list(argv[1:]))
     if argv and argv[0] == "serve":
         return serve_main(list(argv[1:]))
-    if argv and argv[0] == "load-test":
-        return load_test_main(list(argv[1:]))
     parser = build_arg_parser()
     options = parser.parse_args(argv)
 

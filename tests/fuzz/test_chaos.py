@@ -170,11 +170,11 @@ class TestJudge:
         assert not case.ok
 
 
-def _load(requests, seconds, dropped=0):
-    report = LoadReport(label="fake", clients=1, requests=requests)
-    report.seconds = seconds
-    report.dropped_connections = dropped
-    return report
+def _load(requests, seconds, dropped=0, errors=0, mismatches=0):
+    return LoadReport(
+        requests=requests, seconds=seconds, dropped_connections=dropped,
+        errors=errors, id_mismatches=mismatches,
+    )
 
 
 class TestStormJudge:
@@ -198,6 +198,20 @@ class TestStormJudge:
             "kill-storm", _load(10, 1.0), _load(9, 1.0, dropped=1), 2
         )
         assert case.verdict == "unanswered"
+
+    def test_error_replies_do_not_count_as_throughput(self):
+        # as fast as before, but every reply under the storm an error
+        errors = _load(10, 1.0, errors=10)
+        case = judge_storm("kill-storm", _load(10, 1.0), errors, 2)
+        assert case.verdict == "degraded"
+        assert not case.ok
+
+    def test_a_reply_under_another_id_fails_in_either_phase(self):
+        crossed = _load(10, 1.0, mismatches=1)
+        for phases in ((_load(10, 1.0), crossed), (crossed, _load(10, 1.0))):
+            case = judge_storm("kill-storm", *phases, 2)
+            assert case.verdict == "unanswered"
+            assert not case.ok
 
 
 class TestHarnessPieces:

@@ -1,20 +1,19 @@
-"""The load harness itself: report invariants and the CLI entry point.
+"""The load generator behind the chaos kill storm, against a live server.
 
-Scaled far below the benchmark settings — the point here is that the
-harness measures honestly (requests add up, quantiles are ordered,
-integrity counters are zero on a healthy run, the warm row really is
-result-cache traffic), not that the numbers are big.
+Scaled far below the storm's settings: the point here is that the
+generator counts honestly (every client answered under its own id,
+nothing dropped or refused on a healthy run, the duration respected),
+not that the numbers are big.
 """
 
-import json
 import threading
 
-from repro.server import CompileServer
-from repro.server.loadgen import LoadReport, cold_sources, run_load
-from repro.tools.cli import main as cli_main
+from repro.server import CompileClient, CompileServer
+from repro.server.loadgen import run_load
+from repro.workloads import generate_workload
 
 CLIENTS = 6
-REQUESTS = 2
+SECONDS = 0.3
 
 
 def test_run_load_against_live_server(tmp_path):
@@ -24,67 +23,24 @@ def test_run_load_against_live_server(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        sources = cold_sources(
-            CLIENTS * REQUESTS, functions=2, statements=3,
-        )
+        sources = [
+            generate_workload(
+                functions=2, statements_per_function=3, seed=1982 + index,
+            )
+            for index in range(CLIENTS * 2)
+        ]
         report = run_load(
-            sources, clients=CLIENTS, requests_per_client=REQUESTS,
-            path=path, label="test",
+            sources, seconds=SECONDS, path=path, clients=CLIENTS,
         )
     finally:
-        from repro.server import CompileClient
         with CompileClient(path=path) as admin:
             admin.shutdown()
         thread.join(timeout=30)
 
-    assert report.requests == CLIENTS * REQUESTS
+    assert report.requests >= CLIENTS  # every client sent at least one
     assert report.errors == 0
+    assert report.overloads == 0
     assert report.id_mismatches == 0
     assert report.dropped_connections == 0
-    assert report.functions == CLIENTS * REQUESTS * 2
-    assert len(report.latencies) == report.requests
-    assert 0 < report.percentile(0.50) <= report.percentile(0.99)
-    assert report.requests_per_sec > 0
-    row = report.to_dict()
-    assert row["p50_ms"] <= row["p99_ms"] <= row["max_ms"]
-
-
-def test_percentiles_on_known_distribution():
-    report = LoadReport(label="synthetic", clients=1)
-    report.latencies = [i / 1000 for i in range(1, 101)]  # 1ms..100ms
-    report.requests = 100
-    report.seconds = 2.0
-    assert report.percentile(0.50) == 0.051
-    assert report.percentile(0.99) == 0.100
-    assert report.requests_per_sec == 50.0
-
-
-def test_cold_sources_are_distinct_and_deterministic():
-    first = cold_sources(4, functions=2, statements=3, seed=7)
-    again = cold_sources(4, functions=2, statements=3, seed=7)
-    assert first == again                 # deterministic in the seed
-    assert len(set(first)) == len(first)  # every unit distinct
-
-
-def test_cli_load_test_writes_report(tmp_path, capsys):
-    out = str(tmp_path / "BENCH_server.json")
-    status = cli_main([
-        "load-test", "--clients", "4", "--requests", "2",
-        "--functions", "2", "--statements", "3", "--out", out,
-    ])
-    assert status == 0
-    with open(out) as handle:
-        report = json.load(handle)
-    for row in ("cold", "warm"):
-        stats = report[row]
-        assert stats["requests"] == 8
-        assert stats["errors"] == 0
-        assert stats["id_mismatches"] == 0
-        assert stats["dropped_connections"] == 0
-        assert stats["p50_ms"] <= stats["p99_ms"]
-    # the warm row is real result-cache traffic
-    assert report["server_stats"]["result_cache"]["hits"] > 0
-    assert report["warm_speedup"] > 0
-    # and the same payload went to stdout
-    printed = json.loads(capsys.readouterr().out)
-    assert printed == report
+    assert report.seconds >= SECONDS
+    assert report.ok_per_sec > 0
